@@ -332,7 +332,7 @@ func BenchmarkPipelineStreamBatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := env.PipelineStreamOpts(s, sim.PipelineConfig{Images: 500, Window: 4, Batch: 4})
+		res, err := env.Serve(s, sim.ServeConfig{Tenants: []sim.TenantSpec{{Images: 500}}, Window: 4, Batch: 4})
 		if err != nil {
 			b.Fatal(err)
 		}

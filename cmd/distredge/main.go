@@ -150,7 +150,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		crep, err := sys.EvaluateChurnReplan(plan, *images, *window, events, !*noRecover, replan)
+		crep, err := sys.EvaluateChurn(plan, *images, *window, events, !*noRecover, replan)
 		if err != nil {
 			fatal(err)
 		}

@@ -392,35 +392,25 @@ type PipelineReport struct {
 }
 
 // EvaluatePipelined streams `images` images through the plan keeping up to
-// `window` of them in flight (sim.PipelineStream): devices and links are
+// `window` of them in flight (one tenant through sim.Env.Serve): devices and links are
 // shared resources, so the report measures the sustained serving rate and
 // the per-image latency under load. Window 1 reproduces Evaluate's
 // sequential protocol exactly.
 func (s *System) EvaluatePipelined(p *Plan, images, window int) (PipelineReport, error) {
-	res, err := s.env.PipelineStream(p.Strategy, images, window, 0)
-	if err != nil {
-		return PipelineReport{}, err
-	}
-	return PipelineReport{
-		Window:    res.Window,
-		IPS:       res.IPS,
-		SteadyIPS: res.SteadyIPS,
-		MeanLatMS: res.MeanLatMS,
-		P95LatMS:  res.P95LatMS,
-	}, nil
+	return s.EvaluatePipelinedOpts(p, images, window, 1, 1)
 }
 
-// EvaluatePipelinedOpts is EvaluatePipelined with the pipelined
-// simulator's performance knobs exposed: batch is the step-batching cap
-// (up to `batch` queued same-step images share one compute invocation
-// under the runtime's amortised cost model; 0 or 1 = no batching,
-// bit-identical to EvaluatePipelined), and wireFrac scales every
-// transferred byte (transport.WireFrac of a quantizing codec; 0 or 1 =
-// raw bytes). It predicts what Deploy measures with the matching
-// runtime.Options.Batch and wire stack.
+// EvaluatePipelinedOpts is EvaluatePipelined with the serving engine's
+// performance knobs exposed: batch is the step-batching cap (up to `batch`
+// queued same-step images share one compute invocation under the runtime's
+// amortised cost model; 1 = no batching, bit-identical to
+// EvaluatePipelined; 0 = the adaptive cap, see sim.ServeConfig.Batch), and
+// wireFrac scales every transferred byte (transport.WireFrac of a
+// quantizing codec; 0 or 1 = raw bytes). It predicts what Deploy measures
+// with the matching runtime.Options.Batch and wire stack.
 func (s *System) EvaluatePipelinedOpts(p *Plan, images, window, batch int, wireFrac float64) (PipelineReport, error) {
-	res, err := s.env.PipelineStreamOpts(p.Strategy, sim.PipelineConfig{
-		Images: images, Window: window, Batch: batch, WireFrac: wireFrac,
+	res, err := s.env.Serve(p.Strategy, sim.ServeConfig{
+		Tenants: []sim.TenantSpec{{Images: images}}, Window: window, Batch: batch, WireFrac: wireFrac,
 	})
 	if err != nil {
 		return PipelineReport{}, err
@@ -512,19 +502,13 @@ type ChurnReport struct {
 
 // EvaluateChurn streams `images` images through the plan on the simulator
 // while the provider fleet churns according to the scripted events
-// (sim.ChurnStream). With recover, each event re-plans the strategy over
-// the surviving devices using the profile-guided re-planner and re-admits
-// the in-flight images; without it a device drop truncates the stream —
-// the runtime's sticky-failure semantics.
-func (s *System) EvaluateChurn(p *Plan, images, window int, events []ChurnEvent, recover bool) (ChurnReport, error) {
-	return s.EvaluateChurnReplan(p, images, window, events, recover, nil)
-}
-
-// EvaluateChurnReplan is EvaluateChurn with the recovery re-planner
-// pluggable: nil uses the profile-guided balanced default. Pass a
-// PlanCache.CachedReplan to model a fleet whose recurring churn patterns
-// re-plan from the plan cache.
-func (s *System) EvaluateChurnReplan(p *Plan, images, window int, events []ChurnEvent, recover bool, replan sim.ReplanFunc) (ChurnReport, error) {
+// (sim.Env.Serve). With recover, each event re-plans the strategy over the
+// surviving devices and re-admits the in-flight images; without it a device
+// drop truncates the stream — the runtime's sticky-failure semantics.
+// replan picks the recovery re-planner: nil uses the profile-guided
+// balanced default; pass a PlanCache.CachedReplan to model a fleet whose
+// recurring churn patterns re-plan from the plan cache.
+func (s *System) EvaluateChurn(p *Plan, images, window int, events []ChurnEvent, recover bool, replan sim.ReplanFunc) (ChurnReport, error) {
 	if replan == nil {
 		replan = splitter.BalancedReplan
 	}
@@ -536,7 +520,11 @@ func (s *System) EvaluateChurnReplan(p *Plan, images, window int, events []Churn
 		}
 		simEvents[i] = ev
 	}
-	res, err := s.env.ChurnStream(p.Strategy, images, window, 0, simEvents, sim.ChurnOptions{
+	res, err := s.env.Serve(p.Strategy, sim.ServeConfig{
+		Tenants:   []sim.TenantSpec{{Images: images}},
+		Window:    window,
+		Batch:     1,
+		Events:    simEvents,
 		Recover:   recover,
 		ReplanSec: experiments.ChurnReplanChargeSec,
 		Replan:    replan,

@@ -248,21 +248,21 @@ func TestEvaluateChurn(t *testing.T) {
 	}
 	failAt := 0.5 * float64(40) / base.IPS
 	events := []ChurnEvent{{Kind: "drop", Device: 0, AtSec: failAt}}
-	on, err := sys.EvaluateChurn(plan, 40, 4, events, true)
+	on, err := sys.EvaluateChurn(plan, 40, 4, events, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if on.Completed != 40 || on.Recoveries != 1 || on.FailedAtSec >= 0 {
 		t.Fatalf("recovered churn report wrong: %+v", on)
 	}
-	off, err := sys.EvaluateChurn(plan, 40, 4, events, false)
+	off, err := sys.EvaluateChurn(plan, 40, 4, events, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.Completed >= 40 || off.Failed == 0 || off.FailedAtSec != failAt {
 		t.Fatalf("truncated churn report wrong: %+v", off)
 	}
-	if _, err := sys.EvaluateChurn(plan, 10, 1, []ChurnEvent{{Kind: "explode", Device: 0, AtSec: 1}}, true); err == nil {
+	if _, err := sys.EvaluateChurn(plan, 10, 1, []ChurnEvent{{Kind: "explode", Device: 0, AtSec: 1}}, true, nil); err == nil {
 		t.Error("unknown event kind must error")
 	}
 }
@@ -270,7 +270,7 @@ func TestEvaluateChurn(t *testing.T) {
 // TestPlanCachedHitAndChurnReplan covers the public plan-cache surface:
 // the second PlanCached for an identical system is an exact hit returning
 // an equivalent plan without re-searching, the cache counters read
-// consistently, and the cached re-planner drives EvaluateChurnReplan
+// consistently, and the cached re-planner drives EvaluateChurn
 // through a recovery.
 func TestPlanCachedHitAndChurnReplan(t *testing.T) {
 	cache := NewPlanCache(0)
@@ -321,7 +321,7 @@ func TestPlanCachedHitAndChurnReplan(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := []ChurnEvent{{Kind: "drop", Device: 0, AtSec: 0.2}}
-	rep, err := sys.EvaluateChurnReplan(cold, 40, 4, events, true, replan)
+	rep, err := sys.EvaluateChurn(cold, 40, 4, events, true, replan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func heaviestProvider(env *sim.Env, s *strategy.Strategy) int {
 // and admission window: each case is planned once (DistrEdge pipeline),
 // then every (window, failure-fraction) cell drops the heaviest provider at
 // that point of the stream and compares recover-on against recover-off via
-// sim.ChurnStream with the profile-guided re-planner. Cases run on the
+// sim.Env.Serve with the profile-guided re-planner. Cases run on the
 // budget's worker pool; rows are deterministic for any worker count.
 func FigChurnRecovery(b Budget, windows []int, fracs []float64) ([]ChurnRow, error) {
 	if len(windows) == 0 {
@@ -90,15 +90,21 @@ func FigChurnRecovery(b Budget, windows []int, fracs []float64) ([]ChurnRow, err
 			for _, frac := range fracs {
 				failAt := base.TotalSec * frac
 				events := []sim.ChurnEvent{{At: failAt, Kind: sim.DeviceDrop, Device: drop}}
-				on, err := env.ChurnStream(planned, b.StreamImages, w, 0, events, sim.ChurnOptions{
+				cfg := sim.ServeConfig{
+					Tenants:   []sim.TenantSpec{{Images: b.StreamImages}},
+					Window:    w,
+					Batch:     1,
+					Events:    events,
 					Recover:   true,
 					ReplanSec: ChurnReplanChargeSec,
 					Replan:    splitter.BalancedReplan,
-				})
+				}
+				on, err := env.Serve(planned, cfg)
 				if err != nil {
 					return fmt.Errorf("experiments: churn sweep %s w=%d f=%.2f (on): %w", spec.Name, w, frac, err)
 				}
-				off, err := env.ChurnStream(planned, b.StreamImages, w, 0, events, sim.ChurnOptions{})
+				cfg.Recover = false
+				off, err := env.Serve(planned, cfg)
 				if err != nil {
 					return fmt.Errorf("experiments: churn sweep %s w=%d f=%.2f (off): %w", spec.Name, w, frac, err)
 				}

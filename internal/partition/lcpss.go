@@ -347,39 +347,3 @@ func (s *searcher) crossBytes(a, b int) float64 {
 	s.crossMemo[key] = v
 	return v
 }
-
-// SearchDebug is Search plus the computed κ, for calibration tooling.
-func SearchDebug(m *cnn.Model, cfg Config) ([]int, float64, error) {
-	b, err := Search(m, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Recompute κ the same way Search does.
-	cfg = cfg.withDefaults()
-	s := &searcher{model: m, layers: m.SplittableLayers(), cfg: cfg,
-		opsMemo: map[[2]int]float64{}, crossMemo: map[[2]int]float64{}, inMemo: map[[2]int]float64{}}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	s.fracs = make([][]float64, cfg.NumRandomSplits)
-	for i := range s.fracs {
-		f := make([]float64, cfg.Providers-1)
-		for j := range f {
-			f[j] = rng.Float64()
-		}
-		sort.Float64s(f)
-		s.fracs[i] = f
-	}
-	n := m.NumSplittable()
-	s.oneVolOps, s.oneVolBytes = s.rawScore([]int{0, n})
-	lbl := make([]int, n+1)
-	for i := range lbl {
-		lbl[i] = i
-	}
-	lblOps, lblTrans := s.rawScore(lbl)
-	oRange := 1 - lblOps/s.oneVolOps
-	tRange := lblTrans/s.oneVolBytes - 1
-	kappa := 1.0
-	if oRange > 0 && tRange > 0 {
-		kappa = oRange / (2 * tRange)
-	}
-	return b, kappa, nil
-}

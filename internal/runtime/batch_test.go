@@ -175,11 +175,11 @@ func TestShapedBatchingReproducesSimOrdering(t *testing.T) {
 
 	simRun := func(batch int) sim.PipelineResult {
 		t.Helper()
-		res, err := env.PipelineStreamOpts(s, sim.PipelineConfig{Images: 32, Window: window, Batch: batch})
+		res, err := env.Serve(s, sim.ServeConfig{Tenants: []sim.TenantSpec{{Images: 32}}, Window: window, Batch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res.PipelineResult
 	}
 	sim1, sim4 := simRun(1), simRun(4)
 	if sim4.SteadyIPS <= 1.05*sim1.SteadyIPS {

@@ -127,7 +127,7 @@ func TestRecoverUnplannableFailureSurfaces(t *testing.T) {
 }
 
 // TestChurnDifferentialSimVsRuntime is the acceptance-criterion test: with
-// a scripted single-device failure mid-stream, the simulator's ChurnStream
+// a scripted single-device failure mid-stream, the simulator's churn replay
 // predicts the goodput ordering between recover-on and recover-off over a
 // common serving horizon, and the TCP runtime must reproduce it.
 func TestChurnDifferentialSimVsRuntime(t *testing.T) {
@@ -143,13 +143,16 @@ func TestChurnDifferentialSimVsRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := []sim.ChurnEvent{{At: base.TotalSec * failFrac, Kind: sim.DeviceDrop, Device: 1}}
-	simOn, err := env.ChurnStream(s, images, window, 0, events, sim.ChurnOptions{
+	cfg := sim.ServeConfig{
+		Tenants: []sim.TenantSpec{{Images: images}}, Window: window, Batch: 1, Events: events,
 		Recover: true, Replan: splitter.BalancedReplan,
-	})
+	}
+	simOn, err := env.Serve(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simOff, err := env.ChurnStream(s, images, window, 0, events, sim.ChurnOptions{Recover: false})
+	cfg.Recover = false
+	simOff, err := env.Serve(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

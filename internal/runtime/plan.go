@@ -55,7 +55,7 @@ type Options struct {
 	// (bit-identical to the pre-batching compute loop); 0 — the zero value
 	// — is the adaptive cap: the compute thread drains every same-step
 	// item that queued while it was busy, with no size bound. The sim
-	// mirror is PipelineConfig.Batch.
+	// mirror is sim.ServeConfig.Batch.
 	Batch int
 
 	// Recover turns on online churn recovery: when a provider is declared

@@ -28,7 +28,7 @@ import (
 //
 // The caller then re-scatters every incomplete image. Returns the
 // wall-clock milliseconds spent (the runtime's time-to-recover cost,
-// comparable to sim.ChurnOptions.ReplanSec).
+// comparable to sim.ServeConfig.ReplanSec).
 func (c *Cluster) recover() (float64, error) {
 	t0 := time.Now()
 

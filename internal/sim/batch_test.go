@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
 	"distredge/internal/device"
@@ -33,9 +32,9 @@ func TestBatchedComputeSec(t *testing.T) {
 	}
 }
 
-// TestPipelineBatchOneMatchesPipelineStream is the acceptance-criterion
-// property test: batch 1 (and the default wire fraction) must reproduce the
-// pre-batching PipelineStream bit-for-bit — same float operations, not just
+// TestPipelineBatchOneMatchesPipelineStream: Serve with batch 1 (and the
+// default wire fraction) must reproduce the PipelineStream wrapper
+// bit-for-bit — same float operations, not just
 // close results — on constant and time-varying networks, across strategy
 // shapes and windows.
 func TestPipelineBatchOneMatchesPipelineStream(t *testing.T) {
@@ -48,7 +47,7 @@ func TestPipelineBatchOneMatchesPipelineStream(t *testing.T) {
 				if err != nil {
 					t.Fatalf("strategy %d: pipeline: %v", si, err)
 				}
-				got, err := env.PipelineStreamOpts(s, PipelineConfig{Images: images, Window: window, Batch: 1})
+				got, err := env.Serve(s, ServeConfig{Tenants: solo(images), Window: window, Batch: 1})
 				if err != nil {
 					t.Fatalf("strategy %d: batched pipeline: %v", si, err)
 				}
@@ -82,11 +81,11 @@ func TestPipelineBatchingIncreasesThroughput(t *testing.T) {
 	const images, window = 80, 8
 	run := func(batch int) PipelineResult {
 		t.Helper()
-		res, err := env.PipelineStreamOpts(s, PipelineConfig{Images: images, Window: window, Batch: batch})
+		res, err := env.Serve(s, ServeConfig{Tenants: solo(images), Window: window, Batch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res.PipelineResult
 	}
 	b1, b4, b8 := run(1), run(4), run(8)
 	if b4.SteadyIPS <= 1.05*b1.SteadyIPS {
@@ -110,7 +109,7 @@ func TestPipelineBatchingIncreasesThroughput(t *testing.T) {
 		t.Errorf("result Batch = %d, want the adaptive 0 to round-trip", adaptive.Batch)
 	}
 	// Window 1: one image in flight, nothing queues, batching is inert.
-	w1, err := env.PipelineStreamOpts(s, PipelineConfig{Images: 30, Window: 1, Batch: 8})
+	w1, err := env.Serve(s, ServeConfig{Tenants: solo(30), Window: 1, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +132,11 @@ func TestPipelineWireFracShrinksTransfers(t *testing.T) {
 	s := equalSplitStrategy(env.Model, strategy.PoolBoundaries(env.Model), 2)
 	run := func(frac float64) PipelineResult {
 		t.Helper()
-		res, err := env.PipelineStreamOpts(s, PipelineConfig{Images: 30, Window: 4, Batch: 1, WireFrac: frac})
+		res, err := env.Serve(s, ServeConfig{Tenants: solo(30), Window: 4, Batch: 1, WireFrac: frac})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res.PipelineResult
 	}
 	raw, fp16, int8 := run(1), run(0.5), run(0.25)
 	if fp16.SteadyIPS <= raw.SteadyIPS {
@@ -156,16 +155,6 @@ func TestPipelineWireFracShrinksTransfers(t *testing.T) {
 	}
 	if raw.TotalSec != ref.TotalSec {
 		t.Errorf("WireFrac=1 total %.17g != default %.17g", raw.TotalSec, ref.TotalSec)
-	}
-}
-
-func TestPipelineStreamOptsRejectsBadWireFrac(t *testing.T) {
-	env := testEnv(100, device.Nano, device.Nano)
-	s := equalSplitStrategy(env.Model, strategy.SingleVolume(env.Model), 2)
-	for _, frac := range []float64{-0.5, math.NaN(), math.Inf(1)} {
-		if _, err := env.PipelineStreamOpts(s, PipelineConfig{Images: 5, Window: 2, WireFrac: frac}); err == nil {
-			t.Errorf("WireFrac=%v must error", frac)
-		}
 	}
 }
 

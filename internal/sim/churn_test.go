@@ -9,9 +9,9 @@ import (
 	"distredge/internal/strategy"
 )
 
-// TestChurnEmptyTimelineMatchesPipeline is the property test extending the
-// PR 2 window-1 ≡ Stream invariant: ChurnStream with an empty event
-// timeline must be bit-identical to PipelineStream — TotalSec, IPS,
+// TestChurnEmptyTimelineMatchesPipeline extends the window-1 ≡ Stream
+// invariant: Serve with recovery on and an empty event timeline must be
+// bit-identical to PipelineStream — TotalSec, IPS,
 // SteadyIPS, quantiles and every per-image latency — across random
 // strategies, windows, and constant and time-varying networks.
 func TestChurnEmptyTimelineMatchesPipeline(t *testing.T) {
@@ -30,7 +30,7 @@ func TestChurnEmptyTimelineMatchesPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("env %d iter %d: pipeline: %v", ei, iter, err)
 			}
-			got, err := env.ChurnStream(s, images, window, start, nil, ChurnOptions{Recover: true})
+			got, err := env.Serve(s, ServeConfig{Tenants: solo(images), Window: window, Batch: 1, Start: start, Recover: true})
 			if err != nil {
 				t.Fatalf("env %d iter %d: churn: %v", ei, iter, err)
 			}
@@ -79,7 +79,7 @@ func TestChurnDropWithoutRecoveryTruncates(t *testing.T) {
 	failAt := base.TotalSec * 0.5
 	events := []ChurnEvent{{At: failAt, Kind: DeviceDrop, Device: 1}}
 
-	off, err := env.ChurnStream(s, images, 4, 0, events, ChurnOptions{Recover: false})
+	off, err := env.Serve(s, ServeConfig{Tenants: solo(images), Window: 4, Batch: 1, Events: events})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestChurnDropWithoutRecoveryTruncates(t *testing.T) {
 		t.Errorf("FailedAtSec = %g, want %g", off.FailedAtSec, failAt)
 	}
 
-	on, err := env.ChurnStream(s, images, 4, 0, events, ChurnOptions{Recover: true})
+	on, err := env.Serve(s, ServeConfig{Tenants: solo(images), Window: 4, Batch: 1, Events: events, Recover: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,11 @@ func TestChurnReplanChargeDelaysRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := []ChurnEvent{{At: base.TotalSec * 0.4, Kind: DeviceDrop, Device: 2}}
-	cheap, err := env.ChurnStream(s, 30, 4, 0, events, ChurnOptions{Recover: true})
+	cheap, err := env.Serve(s, ServeConfig{Tenants: solo(30), Window: 4, Batch: 1, Events: events, Recover: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dear, err := env.ChurnStream(s, 30, 4, 0, events, ChurnOptions{Recover: true, ReplanSec: 2})
+	dear, err := env.Serve(s, ServeConfig{Tenants: solo(30), Window: 4, Batch: 1, Events: events, Recover: true, ReplanSec: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestChurnSlowdownDegradesThroughput(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := []ChurnEvent{{At: base.TotalSec * 0.25, Kind: DeviceSlow, Device: 0, Factor: 4}}
-	slowed, err := env.ChurnStream(s, 30, 2, 0, events, ChurnOptions{Recover: true})
+	slowed, err := env.Serve(s, ServeConfig{Tenants: solo(30), Window: 2, Batch: 1, Events: events, Recover: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +201,15 @@ func TestChurnDropThenRejoin(t *testing.T) {
 	}
 	drop := ChurnEvent{At: base.TotalSec * 0.2, Kind: DeviceDrop, Device: 0}
 	join := ChurnEvent{At: base.TotalSec * 0.5, Kind: DeviceJoin, Device: 0}
-	opts := ChurnOptions{Recover: true, Replan: latencyReplan}
+	cfg := ServeConfig{Tenants: solo(40), Window: 4, Batch: 1, Recover: true, Replan: latencyReplan}
 
-	dropOnly, err := env.ChurnStream(s, 40, 4, 0, []ChurnEvent{drop}, opts)
+	cfg.Events = []ChurnEvent{drop}
+	dropOnly, err := env.Serve(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rejoin, err := env.ChurnStream(s, 40, 4, 0, []ChurnEvent{drop, join}, opts)
+	cfg.Events = []ChurnEvent{drop, join}
+	rejoin, err := env.Serve(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,16 +229,16 @@ func TestChurnDropThenRejoin(t *testing.T) {
 func TestChurnRejectsBadEvents(t *testing.T) {
 	env := testEnv(100, device.Nano, device.Nano)
 	s := equalSplitStrategy(env.Model, strategy.SingleVolume(env.Model), 2)
-	if _, err := env.ChurnStream(s, 5, 1, 0, []ChurnEvent{{At: 1, Kind: DeviceDrop, Device: 7}}, ChurnOptions{}); err == nil {
+	if _, err := env.Serve(s, ServeConfig{Tenants: solo(5), Window: 1, Batch: 1, Events: []ChurnEvent{{At: 1, Kind: DeviceDrop, Device: 7}}}); err == nil {
 		t.Error("out-of-range device must error")
 	}
-	if _, err := env.ChurnStream(s, 5, 1, 0, []ChurnEvent{{At: 1, Kind: DeviceSlow, Device: 0}}, ChurnOptions{}); err == nil {
+	if _, err := env.Serve(s, ServeConfig{Tenants: solo(5), Window: 1, Batch: 1, Events: []ChurnEvent{{At: 1, Kind: DeviceSlow, Device: 0}}}); err == nil {
 		t.Error("slow event without factor must error")
 	}
-	if _, err := env.ChurnStream(s, 0, 1, 0, nil, ChurnOptions{}); err == nil {
+	if _, err := env.Serve(s, ServeConfig{Tenants: solo(0), Window: 1, Batch: 1}); err == nil {
 		t.Error("zero images must error")
 	}
-	if _, err := env.ChurnStream(s, 5, 0, 0, nil, ChurnOptions{}); err == nil {
+	if _, err := env.Serve(s, ServeConfig{Tenants: solo(5), Window: 0, Batch: 1}); err == nil {
 		t.Error("zero window must error")
 	}
 	// Dropping the whole fleet is unrecoverable.
@@ -244,7 +246,7 @@ func TestChurnRejectsBadEvents(t *testing.T) {
 		{At: 0.1, Kind: DeviceDrop, Device: 0},
 		{At: 0.2, Kind: DeviceDrop, Device: 1},
 	}
-	if _, err := env.ChurnStream(s, 50, 2, 0, events, ChurnOptions{Recover: true}); err == nil {
+	if _, err := env.Serve(s, ServeConfig{Tenants: solo(50), Window: 2, Batch: 1, Events: events, Recover: true}); err == nil {
 		t.Error("dropping every provider must error")
 	}
 }

@@ -28,7 +28,7 @@ type Objective interface {
 	// end-to-end latency: LatencyObjective returns it unchanged — no
 	// extra simulation, keeping training bit-identical to the
 	// pre-objective planner — while ThroughputObjective ignores it and
-	// replays the episode's strategy through PipelineStream.
+	// replays the episode's strategy through Serve.
 	EpisodeScore(e *Env, s *strategy.Strategy, at, seqLatency float64) (float64, error)
 }
 
@@ -114,7 +114,7 @@ func (ThroughputObjective) Name() string { return "ips" }
 // Score returns steady-state seconds per image at the configured window.
 func (o ThroughputObjective) Score(e *Env, s *strategy.Strategy, at float64) (float64, error) {
 	o = o.withDefaults()
-	res, err := e.PipelineStreamOpts(s, PipelineConfig{Images: o.Images, Window: o.Window, Batch: o.Batch, Start: at})
+	res, err := e.Serve(s, ServeConfig{Tenants: []TenantSpec{{Images: o.Images}}, Window: o.Window, Batch: o.Batch, Start: at})
 	if err != nil {
 		return 0, err
 	}
@@ -187,10 +187,11 @@ func (o SLOThroughputObjective) Eval(e *Env, s *strategy.Strategy, at float64) (
 	if !(o.P95Sec > 0) {
 		return PipelineResult{}, fmt.Errorf("sim: slo objective: p95 bound must be positive, got %g", o.P95Sec)
 	}
-	res, err := e.PipelineStreamOpts(s, PipelineConfig{Images: o.Images, Window: o.Window, Batch: o.Batch, Start: at})
+	served, err := e.Serve(s, ServeConfig{Tenants: []TenantSpec{{Images: o.Images}}, Window: o.Window, Batch: o.Batch, Start: at})
 	if err != nil {
 		return PipelineResult{}, err
 	}
+	res := served.PipelineResult
 	if res.SteadyIPS <= 0 || math.IsInf(res.SteadyIPS, 0) || math.IsNaN(res.SteadyIPS) {
 		return PipelineResult{}, fmt.Errorf("sim: slo objective: degenerate SteadyIPS %g", res.SteadyIPS)
 	}

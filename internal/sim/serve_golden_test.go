@@ -231,30 +231,28 @@ func serveGoldenGrid(t *testing.T) ([]*Env, [][]*strategy.Strategy, []serveCase)
 
 // runServeCase runs one grid case and renders its result line.
 func runServeCase(env *Env, s *strategy.Strategy, c serveCase) string {
+	cfg := ServeConfig{Window: c.window, Batch: c.batch, WireFrac: c.wire, Start: c.start}
+	if c.kind == "multi" {
+		cfg.Tenants, cfg.Policy = c.tenants, c.policy
+	} else {
+		cfg.Tenants = []TenantSpec{{Images: c.images}}
+	}
+	if c.kind == "churn" {
+		cfg.Batch, cfg.Events, cfg.Recover, cfg.ReplanSec = 1, c.events, c.recover, c.replanSec
+		if c.latReplan {
+			cfg.Replan = latencyReplan
+		}
+	}
+	r, err := env.Serve(s, cfg)
+	if err != nil {
+		return "err=" + err.Error()
+	}
 	switch c.kind {
 	case "pipe":
-		r, err := env.PipelineStreamOpts(s, PipelineConfig{Images: c.images, Window: c.window, Batch: c.batch, WireFrac: c.wire, Start: c.start})
-		if err != nil {
-			return "err=" + err.Error()
-		}
-		return fmtPipelineFields(r, true)
+		return fmtPipelineFields(r.PipelineResult, true)
 	case "multi":
-		r, err := env.MultiStreamOpts(s, MultiStreamConfig{
-			Tenants: c.tenants, Policy: c.policy, Window: c.window, Batch: c.batch, WireFrac: c.wire, Start: c.start,
-		})
-		if err != nil {
-			return "err=" + err.Error()
-		}
 		return fmtTenants(r.Window, r.TotalSec, r.IPS, r.Tenants)
 	default:
-		opts := ChurnOptions{Recover: c.recover, ReplanSec: c.replanSec}
-		if c.latReplan {
-			opts.Replan = latencyReplan
-		}
-		r, err := env.ChurnStream(s, c.images, c.window, c.start, c.events, opts)
-		if err != nil {
-			return "err=" + err.Error()
-		}
 		return fmtChurnFields(r.PipelineResult, r.Completed, r.Failed, r.Recoveries, r.Requeued, r.FailedAtSec, r.EventRecoverySec)
 	}
 }

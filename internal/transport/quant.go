@@ -99,7 +99,7 @@ type wireFracCodec interface{ wireFrac() float64 }
 // WireFrac returns the fraction of raw payload bytes the codec puts on the
 // wire in steady state (1 for codecs with no guaranteed shrink — binary,
 // gob, and deflate, whose ratio is data-dependent). The simulator's
-// PipelineConfig.WireFrac consumes this so predictions and the shaped
+// sim.ServeConfig.WireFrac consumes this so predictions and the shaped
 // runtime charge the same bytes.
 func WireFrac(c Codec) float64 {
 	if w, ok := c.(wireFracCodec); ok {

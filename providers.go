@@ -2,6 +2,7 @@ package distredge
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -49,9 +50,9 @@ func ParseProviders(spec string) ([]Provider, error) {
 //	join:DEV@T    — provider DEV rejoins at T
 //	slow:DEVxF@T  — provider DEV becomes F times slower at T
 //
-// e.g. "drop:1@2.5,slow:2x3@4,join:1@8". Times must be non-negative,
-// devices non-negative, slow factors positive, and no event may be an
-// exact duplicate of an earlier one (same kind, device and time — almost
+// e.g. "drop:1@2.5,slow:2x3@4,join:1@8". Times must be finite and
+// non-negative, devices non-negative, slow factors finite and positive,
+// and no event may be an exact duplicate of an earlier one (same kind, device and time — almost
 // always a typo for a different time).
 func ParseChurn(spec string) ([]ChurnEvent, error) {
 	if strings.TrimSpace(spec) == "" {
@@ -78,7 +79,10 @@ func ParseChurn(spec string) ([]ChurnEvent, error) {
 		if err != nil {
 			return nil, fmt.Errorf("distredge: bad time in %q: %v", part, err)
 		}
-		if at < 0 || at != at {
+		if math.IsNaN(at) || math.IsInf(at, 0) {
+			return nil, fmt.Errorf("distredge: churn event %q has a non-finite time", part)
+		}
+		if at < 0 {
 			return nil, fmt.Errorf("distredge: churn event %q has a negative time", part)
 		}
 		ev := ChurnEvent{Kind: strings.TrimSpace(kind), AtSec: at, Factor: 1}
@@ -91,8 +95,8 @@ func ParseChurn(spec string) ([]ChurnEvent, error) {
 			if err != nil {
 				return nil, fmt.Errorf("distredge: bad factor in %q: %v", part, err)
 			}
-			if ev.Factor <= 0 || ev.Factor != ev.Factor {
-				return nil, fmt.Errorf("distredge: slow factor in %q must be positive", part)
+			if !(ev.Factor > 0) || math.IsInf(ev.Factor, 0) {
+				return nil, fmt.Errorf("distredge: slow factor in %q must be positive and finite", part)
 			}
 			devSpec = dv
 		}
@@ -134,7 +138,7 @@ func ParseObjective(spec string) (Objective, error) {
 // ParseTenants parses the command-line -tenants flag shared by the serving
 // commands: comma-separated "name:IMAGESxWEIGHT" entries, weight optional
 // (default 1), e.g. "heavy:24x1,small:4x4". Names must be unique and
-// non-empty, images >= 1, weights positive.
+// non-empty, images >= 1, weights positive and finite.
 func ParseTenants(spec string) ([]sim.TenantSpec, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("distredge: empty tenant spec")
@@ -166,8 +170,8 @@ func ParseTenants(spec string) ([]sim.TenantSpec, error) {
 			if err != nil {
 				return nil, fmt.Errorf("distredge: bad weight in %q: %v", part, err)
 			}
-			if weight <= 0 || weight != weight {
-				return nil, fmt.Errorf("distredge: weight in %q must be positive", part)
+			if !(weight > 0) || math.IsInf(weight, 0) {
+				return nil, fmt.Errorf("distredge: weight in %q must be positive and finite", part)
 			}
 		}
 		out = append(out, sim.TenantSpec{Name: name, Images: images, Weight: weight})

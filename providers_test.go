@@ -1,6 +1,7 @@
 package distredge
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -81,13 +82,17 @@ func TestParseChurnErrors(t *testing.T) {
 		{"no time", "drop:1", "missing @time"},
 		{"bad time", "drop:1@soon", "bad time"},
 		{"negative time", "drop:1@-2", "negative time"},
-		{"nan time", "drop:1@NaN", "negative time"},
+		{"nan time", "drop:1@NaN", "non-finite time"},
+		{"inf time", "drop:1@Inf", "non-finite time"},
+		{"negative inf time", "join:1@-Inf", "non-finite time"},
 		{"bad device", "drop:one@2", "bad device"},
 		{"negative device", "drop:-1@2", "negative device"},
 		{"slow without factor", "slow:2@4", "needs devxfactor"},
 		{"bad factor", "slow:2xfast@4", "bad factor"},
 		{"zero factor", "slow:2x0@4", "must be positive"},
 		{"negative factor", "slow:2x-3@4", "must be positive"},
+		{"nan factor", "slow:2xNaN@4", "must be positive"},
+		{"inf factor", "slow:0xInf@1", "must be positive and finite"},
 		{"duplicate event", "drop:1@2.5,drop:1@2.5", "duplicate churn event"},
 	}
 	for _, c := range cases {
@@ -100,6 +105,74 @@ func TestParseChurnErrors(t *testing.T) {
 	// The same (kind, device) at different times is legitimate churn.
 	if _, err := ParseChurn("drop:1@2,join:1@4,drop:1@6"); err != nil {
 		t.Errorf("repeated kind+device at different times must parse: %v", err)
+	}
+}
+
+// FuzzParseChurn asserts ParseChurn's output contract: every spec it
+// accepts yields finite non-negative times, non-negative devices, finite
+// positive factors and no duplicate events.
+func FuzzParseChurn(f *testing.F) {
+	for _, seed := range []string{
+		"drop:1@2.5,slow:2x3@4,join:1@8", "slow:0xInf@1", "drop:1@NaN", "join:0@1e400",
+		"slow:1x0x1p-2@0x1p3", "drop:1@2,drop:1@2.0", " , ", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		events, err := ParseChurn(spec)
+		if err != nil {
+			return
+		}
+		type key struct {
+			kind string
+			dev  int
+			at   float64
+		}
+		seen := make(map[key]bool)
+		for _, ev := range events {
+			if math.IsNaN(ev.AtSec) || math.IsInf(ev.AtSec, 0) || ev.AtSec < 0 {
+				t.Fatalf("ParseChurn(%q) accepted time %g", spec, ev.AtSec)
+			}
+			if ev.Device < 0 {
+				t.Fatalf("ParseChurn(%q) accepted device %d", spec, ev.Device)
+			}
+			if !(ev.Factor > 0) || math.IsInf(ev.Factor, 0) {
+				t.Fatalf("ParseChurn(%q) accepted factor %g", spec, ev.Factor)
+			}
+			k := key{ev.Kind, ev.Device, ev.AtSec}
+			if seen[k] {
+				t.Fatalf("ParseChurn(%q) accepted duplicate event %+v", spec, ev)
+			}
+			seen[k] = true
+		}
+	})
+}
+
+// TestParseTenantsErrors covers ParseTenants' rejections, non-finite
+// weights included.
+func TestParseTenantsErrors(t *testing.T) {
+	cases := []struct {
+		name, spec, wantErr string
+	}{
+		{"empty", " ", "empty tenant spec"},
+		{"no name", ":4x1", "want name:IMAGESxWEIGHT"},
+		{"duplicate", "a:4,a:2", "duplicate tenant"},
+		{"bad images", "a:fewx1", "bad image count"},
+		{"zero images", "a:0x1", "at least one image"},
+		{"bad weight", "a:4xheavy", "bad weight"},
+		{"zero weight", "a:4x0", "must be positive and finite"},
+		{"nan weight", "a:4xNaN", "must be positive and finite"},
+		{"inf weight", "a:4xInf", "must be positive and finite"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := ParseTenants(c.spec); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("ParseTenants(%q) = %v, want error containing %q", c.spec, err, c.wantErr)
+			}
+		})
+	}
+	if got, err := ParseTenants("heavy:24x1,small:4x4"); err != nil || len(got) != 2 || got[1].Weight != 4 {
+		t.Errorf("valid spec = %+v, %v", got, err)
 	}
 }
 
