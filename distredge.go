@@ -392,10 +392,10 @@ type PipelineReport struct {
 }
 
 // EvaluatePipelined streams `images` images through the plan keeping up to
-// `window` of them in flight (one tenant through sim.Env.Serve): devices and links are
-// shared resources, so the report measures the sustained serving rate and
-// the per-image latency under load. Window 1 reproduces Evaluate's
-// sequential protocol exactly.
+// `window` of them in flight (one tenant through sim.Env.Serve): devices
+// and links are shared resources, so the report measures the sustained
+// serving rate and the per-image latency under load. Window 1 reproduces
+// Evaluate's sequential protocol exactly.
 func (s *System) EvaluatePipelined(p *Plan, images, window int) (PipelineReport, error) {
 	return s.EvaluatePipelinedOpts(p, images, window, 1, 1)
 }

@@ -194,8 +194,11 @@ func (sv *server) init(e *Env, cfg ServeConfig) error {
 	if cfg.WireFrac == 0 {
 		cfg.WireFrac = 1
 	}
-	if !(cfg.WireFrac > 0) || math.IsInf(cfg.WireFrac, 0) {
+	if !(cfg.WireFrac > 0 && finite(cfg.WireFrac)) {
 		return fmt.Errorf("sim: wire fraction must be positive and finite, got %v", cfg.WireFrac)
+	}
+	if !finite(cfg.Start) {
+		return fmt.Errorf("sim: start time %g is not finite", cfg.Start)
 	}
 	if !finite(cfg.ReplanSec) || cfg.ReplanSec < 0 {
 		return fmt.Errorf("sim: re-plan charge must be finite and non-negative, got %g", cfg.ReplanSec)

@@ -229,13 +229,14 @@ func serveGoldenGrid(t *testing.T) ([]*Env, [][]*strategy.Strategy, []serveCase)
 	return envs, strats, cases
 }
 
-// runServeCase runs one grid case and renders its result line.
-func runServeCase(env *Env, s *strategy.Strategy, c serveCase) string {
+// config is the Serve configuration a grid case ran with in its old loop:
+// the churn loop was unbatched with raw wire bytes.
+func (c serveCase) config() ServeConfig {
 	cfg := ServeConfig{Window: c.window, Batch: c.batch, WireFrac: c.wire, Start: c.start}
 	if c.kind == "multi" {
 		cfg.Tenants, cfg.Policy = c.tenants, c.policy
 	} else {
-		cfg.Tenants = []TenantSpec{{Images: c.images}}
+		cfg.Tenants = solo(c.images)
 	}
 	if c.kind == "churn" {
 		cfg.Batch, cfg.Events, cfg.Recover, cfg.ReplanSec = 1, c.events, c.recover, c.replanSec
@@ -243,7 +244,12 @@ func runServeCase(env *Env, s *strategy.Strategy, c serveCase) string {
 			cfg.Replan = latencyReplan
 		}
 	}
-	r, err := env.Serve(s, cfg)
+	return cfg
+}
+
+// runServeCase runs one grid case and renders its result line.
+func runServeCase(env *Env, s *strategy.Strategy, c serveCase) string {
+	r, err := env.Serve(s, c.config())
 	if err != nil {
 		return "err=" + err.Error()
 	}

@@ -137,6 +137,8 @@ func TestServeValidation(t *testing.T) {
 		{"negative wire", ServeConfig{Tenants: solo(1), Window: 1, WireFrac: -0.5}, "wire fraction"},
 		{"nan wire", ServeConfig{Tenants: solo(1), Window: 1, WireFrac: nan}, "wire fraction"},
 		{"inf wire", ServeConfig{Tenants: solo(1), Window: 1, WireFrac: inf}, "wire fraction"},
+		{"nan start", ServeConfig{Tenants: solo(1), Window: 1, Start: nan}, "start time"},
+		{"inf start", ServeConfig{Tenants: solo(1), Window: 1, Start: inf}, "start time"},
 		{"nan replan charge", ServeConfig{Tenants: solo(1), Window: 1, ReplanSec: nan}, "re-plan charge"},
 		{"negative replan charge", ServeConfig{Tenants: solo(1), Window: 1, ReplanSec: -1}, "re-plan charge"},
 		{"device out of range", ServeConfig{Tenants: solo(1), Window: 1,
@@ -193,23 +195,12 @@ func TestServeCompletionsMonotone(t *testing.T) {
 	envs, strats, cases := serveGoldenGrid(t)
 	for i, c := range cases {
 		env := envs[c.env]
-		cfg := ServeConfig{Window: c.window, Batch: c.batch, WireFrac: c.wire, Start: c.start,
-			Tenants: solo(c.images), Events: c.events, Recover: c.recover, ReplanSec: c.replanSec}
-		if c.kind == "multi" {
-			cfg.Tenants, cfg.Policy = c.tenants, c.policy
-		}
-		if c.kind == "churn" {
-			cfg.Batch = 1
-		}
-		if c.latReplan {
-			cfg.Replan = latencyReplan
-		}
 		var sv server
-		if err := sv.init(env, cfg); err != nil {
+		if err := sv.init(env, c.config()); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		if err := sv.run(strats[c.env][c.strat]); err != nil {
-			continue // the snapshot records the same error
+			t.Fatalf("case %d: %v", i, err)
 		}
 		last := math.Inf(-1)
 		for id, im := range sv.imgs {
