@@ -100,10 +100,13 @@ func TestObjectiveDifferentialSimVsRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sim predictions.
+	// Sim predictions. The runtime below streams the same number of
+	// images: a short run spends most of its wall time filling and
+	// draining the window, which is not the steady state the sim rates.
+	const images = 40
 	simIPS := func(s *strategy.Strategy, w int) float64 {
 		t.Helper()
-		res, err := env.PipelineStream(s, 40, w, 0)
+		res, err := env.PipelineStream(s, images, w, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +124,6 @@ func TestObjectiveDifferentialSimVsRuntime(t *testing.T) {
 	// overhead (at 0.1 the stage plan's ~34ms model image shrinks to
 	// ~3ms of wall, and scheduling noise compresses the measured ratios).
 	const timeScale, bytesScale = 0.3, 0.001
-	const images = 12
 	run := func(s *strategy.Strategy, w int) float64 {
 		t.Helper()
 		opts := runtime.Options{
@@ -148,7 +150,7 @@ func TestObjectiveDifferentialSimVsRuntime(t *testing.T) {
 		latW1, latW4, ipsW1, ipsW4)
 	// The sim predicts ~1.7x; the runtime's gap-filling step queue lets
 	// the latency plan pipeline better than the conservative model, so
-	// the measured margin lands nearer 1.25x — still a real ordering.
+	// the measured margin lands nearer 1.35x — still a real ordering.
 	if ipsW4 <= 1.1*latW4 {
 		t.Errorf("runtime does not reproduce the window-4 ordering: ips plan %.2f vs latency plan %.2f", ipsW4, latW4)
 	}

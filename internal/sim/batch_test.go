@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"distredge/internal/device"
@@ -155,6 +157,20 @@ func TestPipelineWireFracShrinksTransfers(t *testing.T) {
 	}
 	if raw.TotalSec != ref.TotalSec {
 		t.Errorf("WireFrac=1 total %.17g != default %.17g", raw.TotalSec, ref.TotalSec)
+	}
+}
+
+// TestPipelineStreamOptsRejectsBadWireFrac: a negative or non-finite wire
+// fraction is a config error on the serving path, not a silent rescale of
+// every transfer.
+func TestPipelineStreamOptsRejectsBadWireFrac(t *testing.T) {
+	env := testEnv(100, device.Nano, device.Nano)
+	s := equalSplitStrategy(env.Model, strategy.SingleVolume(env.Model), 2)
+	for _, frac := range []float64{-0.5, math.NaN(), math.Inf(1)} {
+		_, err := env.Serve(s, ServeConfig{Tenants: solo(5), Window: 2, WireFrac: frac})
+		if err == nil || !strings.Contains(err.Error(), "wire fraction") {
+			t.Errorf("WireFrac=%v: err = %v, want a wire fraction error", frac, err)
+		}
 	}
 }
 

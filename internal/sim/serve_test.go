@@ -113,18 +113,13 @@ func TestMultiStreamLateEnqueueWaits(t *testing.T) {
 	}
 }
 
-// TestServeValidation covers Serve's input checks, non-finite inputs
-// included: NaN slips past a plain "<= 0" comparison, so every float input
-// is checked for finiteness explicitly.
-func TestServeValidation(t *testing.T) {
-	env := equivEnv(t, true)
-	s := equivStrategies(env.Model, env.NumProviders())[0]
+// TestMultiStreamValidation covers Serve's tenant and admission checks:
+// the tenant list, window and policy, and each tenant's image count,
+// enqueue time and weight. NaN slips past a plain "<= 0" comparison, so
+// the float inputs are checked for finiteness explicitly.
+func TestMultiStreamValidation(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	cases := []struct {
-		name string
-		cfg  ServeConfig
-		want string
-	}{
+	cases := []serveErrCase{
 		{"no tenants", ServeConfig{Window: 4}, "at least one tenant"},
 		{"bad window", ServeConfig{Tenants: solo(1), Window: 0}, "window must be >= 1"},
 		{"bad policy", ServeConfig{Tenants: solo(1), Window: 1, Policy: "lifo"}, "unknown admission policy"},
@@ -134,9 +129,17 @@ func TestServeValidation(t *testing.T) {
 		{"inf enqueue", ServeConfig{Tenants: []TenantSpec{{Images: 1, EnqueueSec: inf}}, Window: 1}, "not finite"},
 		{"nan weight", ServeConfig{Tenants: []TenantSpec{{Images: 1, Weight: nan}}, Window: 1}, "weight"},
 		{"inf weight", ServeConfig{Tenants: []TenantSpec{{Images: 1, Weight: inf}}, Window: 1}, "weight"},
-		{"negative wire", ServeConfig{Tenants: solo(1), Window: 1, WireFrac: -0.5}, "wire fraction"},
-		{"nan wire", ServeConfig{Tenants: solo(1), Window: 1, WireFrac: nan}, "wire fraction"},
-		{"inf wire", ServeConfig{Tenants: solo(1), Window: 1, WireFrac: inf}, "wire fraction"},
+	}
+	expectServeErrors(t, cases)
+}
+
+// TestServeValidation covers Serve's remaining input checks: the start
+// time, the re-plan charge and the churn script, non-finite values
+// included. Wire fractions are covered by
+// TestPipelineStreamOptsRejectsBadWireFrac.
+func TestServeValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []serveErrCase{
 		{"nan start", ServeConfig{Tenants: solo(1), Window: 1, Start: nan}, "start time"},
 		{"inf start", ServeConfig{Tenants: solo(1), Window: 1, Start: inf}, "start time"},
 		{"nan replan charge", ServeConfig{Tenants: solo(1), Window: 1, ReplanSec: nan}, "re-plan charge"},
@@ -154,6 +157,21 @@ func TestServeValidation(t *testing.T) {
 		{"inf slow factor", ServeConfig{Tenants: solo(1), Window: 1,
 			Events: []ChurnEvent{{At: 1, Kind: DeviceSlow, Device: 0, Factor: inf}}}, "positive finite factor"},
 	}
+	expectServeErrors(t, cases)
+}
+
+// serveErrCase is one config Serve must reject, with a substring of the
+// error it must give.
+type serveErrCase struct {
+	name string
+	cfg  ServeConfig
+	want string
+}
+
+func expectServeErrors(t *testing.T, cases []serveErrCase) {
+	t.Helper()
+	env := equivEnv(t, true)
+	s := equivStrategies(env.Model, env.NumProviders())[0]
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			if _, err := env.Serve(s, c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
