@@ -92,8 +92,8 @@ const (
 
 // PlanConfig configures Plan.
 type PlanConfig struct {
-	// Alpha is the LC-PSS transmission/operations trade-off (paper default
-	// 0.75 when zero).
+	// Alpha is the LC-PSS transmission/operations trade-off in [0,1]
+	// (paper default 0.75 when zero).
 	Alpha float64
 	// Effort selects the planning budget (default EffortQuick).
 	Effort Effort
@@ -203,6 +203,44 @@ type Plan struct {
 	Strategy *strategy.Strategy
 }
 
+// planRequest is a PlanConfig resolved for planning.
+type planRequest struct {
+	budget experiments.Budget
+	alpha  float64
+	obj    sim.Objective // nil for the latency default
+	method string        // the Plan.Method label
+	key    string        // the plan cache's Signature.Params
+}
+
+// resolve validates the config and fills in its defaults: the effort's
+// budget seeded with seed, α (0 → 0.75; anything outside [0,1], NaN
+// included, is an error), the objective and the method label. Plan,
+// PlanCached and CachedReplan all resolve through it, so they agree on
+// every default and on what the plan cache keys.
+func (c PlanConfig) resolve(seed int64) (planRequest, error) {
+	b, err := c.Effort.budget()
+	if err != nil {
+		return planRequest{}, err
+	}
+	b.Seed = seed
+	alpha := c.Alpha
+	if alpha == 0 {
+		alpha = 0.75
+	}
+	if !(alpha >= 0 && alpha <= 1) {
+		return planRequest{}, fmt.Errorf("distredge: alpha %g outside [0,1]", c.Alpha)
+	}
+	obj, err := c.simObjective()
+	if err != nil {
+		return planRequest{}, err
+	}
+	method := experiments.MethodDistrEdge
+	if obj != nil {
+		method = experiments.MethodDistrEdge + "-" + obj.Name()
+	}
+	return planRequest{budget: b, alpha: alpha, obj: obj, method: method, key: experiments.PlanKey(b, alpha)}, nil
+}
+
 // Plan runs the DistrEdge pipeline (LC-PSS + OSDS) for the configured
 // objective and returns the chosen strategy. The default latency objective
 // reproduces the paper's planner exactly; ObjectiveIPS trains the splitter
@@ -210,28 +248,15 @@ type Plan struct {
 // searches stage-friendly volume boundaries — see
 // experiments.PlanObjective).
 func (s *System) Plan(cfg PlanConfig) (*Plan, error) {
-	b, err := cfg.Effort.budget()
+	req, err := cfg.resolve(s.seed)
 	if err != nil {
 		return nil, err
 	}
-	b.Seed = s.seed
-	alpha := cfg.Alpha
-	if alpha == 0 {
-		alpha = 0.75
-	}
-	obj, err := cfg.simObjective()
+	strat, err := experiments.PlanObjective(s.env, req.budget, req.alpha, req.obj, nil)
 	if err != nil {
 		return nil, err
 	}
-	strat, err := experiments.PlanObjective(s.env, b, alpha, obj)
-	if err != nil {
-		return nil, err
-	}
-	method := experiments.MethodDistrEdge
-	if obj != nil {
-		method = experiments.MethodDistrEdge + "-" + obj.Name()
-	}
-	return &Plan{Method: method, Strategy: strat}, nil
+	return &Plan{Method: req.method, Strategy: strat}, nil
 }
 
 // PlanCache is a bounded, concurrency-safe cache of planning results keyed
@@ -283,59 +308,46 @@ const (
 	PlanCold PlanOutcome = PlanOutcome(plancache.OutcomeCold)
 )
 
-// PlanCached is Plan through the plan cache: an exact fleet-signature hit
-// returns the cached strategy without searching, and a miss plans (warm-
-// started when the cache holds a comparable neighbour) and caches the
-// result for the next request. Concurrent PlanCached calls against the
-// same cache are safe; identical fleets are deduplicated single-flight.
+// PlanCached is Plan through the plan cache: an exact hit — same fleet
+// signature, objective, effort and alpha — returns the cached strategy
+// without searching, and a miss plans (warm-started when the cache holds a
+// comparable neighbour) and caches the result for the next request.
+// Concurrent PlanCached calls against the same cache are safe; identical
+// requests are deduplicated single-flight across every caller sharing the
+// cache.
 func (s *System) PlanCached(cfg PlanConfig, pc *PlanCache) (*Plan, PlanOutcome, error) {
 	if pc == nil {
 		p, err := s.Plan(cfg)
 		return p, PlanCold, err
 	}
-	b, err := cfg.Effort.budget()
+	req, err := cfg.resolve(s.seed)
 	if err != nil {
 		return nil, "", err
 	}
-	b.Seed = s.seed
-	obj, err := cfg.simObjective()
+	res, err := pc.c.Plan(s.env, req.obj, req.key, experiments.Planner(req.budget, req.alpha))
 	if err != nil {
 		return nil, "", err
-	}
-	svc, err := plancache.NewService(plancache.Config{
-		Cache:   pc.c,
-		Planner: experiments.Planner(b, cfg.Alpha),
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	res, err := svc.Plan(s.env, obj)
-	if err != nil {
-		return nil, "", err
-	}
-	method := experiments.MethodDistrEdge
-	if obj != nil {
-		method = experiments.MethodDistrEdge + "-" + obj.Name()
 	}
 	// The cache owns its copy; hand the caller an independent one.
-	return &Plan{Method: method, Strategy: res.Strategy.Clone()}, PlanOutcome(res.Outcome), nil
+	return &Plan{Method: req.method, Strategy: res.Strategy.Clone()}, PlanOutcome(res.Outcome), nil
 }
 
 // CachedReplan wraps the recovery re-planner a deployment uses
 // (runtime.Options.Replan) with the plan cache: a recurring survivor-fleet
 // shape re-plans from the cache in lookup time instead of re-running the
 // search. inner nil falls back to the profile-guided balanced re-planner.
-// cfg carries the objective the deployment serves, so cached re-plans are
-// scored and keyed consistently with PlanCached.
+// cfg carries the objective, effort and alpha the deployment was planned
+// with, so cached re-plans are scored and keyed consistently with
+// PlanCached.
 func (pc *PlanCache) CachedReplan(cfg PlanConfig, inner sim.ReplanFunc) (sim.ReplanFunc, error) {
-	obj, err := cfg.simObjective()
+	req, err := cfg.resolve(0)
 	if err != nil {
 		return nil, err
 	}
 	if inner == nil {
-		inner = splitter.ObjectiveReplan(obj)
+		inner = splitter.ObjectiveReplan(req.obj)
 	}
-	return plancache.CachedReplan(pc.c, obj, inner), nil
+	return plancache.CachedReplan(pc.c, req.obj, req.key, inner), nil
 }
 
 // Baselines lists the seven comparison methods of the paper (Section V-B).
@@ -615,17 +627,13 @@ type Finetuner struct {
 // NewFinetuner trains an agent once and returns a handle for later
 // finetuning.
 func (s *System) NewFinetuner(cfg PlanConfig) (*Finetuner, *Plan, error) {
-	b, err := cfg.Effort.budget()
+	req, err := cfg.resolve(s.seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	b.Seed = s.seed
-	alpha := cfg.Alpha
-	if alpha == 0 {
-		alpha = 0.75
-	}
+	b := req.budget
 	boundaries, err := partition.Search(s.env.Model, partition.Config{
-		Alpha:           alpha,
+		Alpha:           req.alpha,
 		NumRandomSplits: b.RandomSplits,
 		Providers:       s.env.NumProviders(),
 		Seed:            s.seed,

@@ -1,6 +1,7 @@
 package distredge
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -330,5 +331,91 @@ func TestPlanCachedHitAndChurnReplan(t *testing.T) {
 	}
 	if cache.Stats().Entries < 2 {
 		t.Error("recovery re-plan did not cache the survivor-fleet plan")
+	}
+}
+
+// TestPlanAlphaValidation: Plan and PlanCached resolve Alpha the same way —
+// 0 means the paper's 0.75, anything outside [0,1] (NaN included) is an
+// error — and a valid alpha plans the same strategy through both.
+func TestPlanAlphaValidation(t *testing.T) {
+	sys, err := New("vgg16", fourProviders(), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	verbs := []struct {
+		name string
+		plan func(PlanConfig) (*Plan, error)
+	}{
+		{"Plan", sys.Plan},
+		{"PlanCached", func(cfg PlanConfig) (*Plan, error) {
+			p, _, err := sys.PlanCached(cfg, NewPlanCache(0))
+			return p, err
+		}},
+	}
+	for _, tc := range []struct {
+		alpha float64
+		ok    bool
+	}{{0, true}, {0.25, true}, {-0.5, false}, {math.NaN(), false}, {1.5, false}} {
+		var plans []string
+		for _, v := range verbs {
+			p, err := v.plan(PlanConfig{Alpha: tc.alpha, Effort: EffortTiny})
+			if tc.ok != (err == nil) {
+				t.Errorf("%s(alpha %g): err = %v, want ok = %v", v.name, tc.alpha, err, tc.ok)
+				continue
+			}
+			if err == nil {
+				plans = append(plans, p.Describe("vgg16"))
+			}
+		}
+		if len(plans) == 2 && plans[0] != plans[1] {
+			t.Errorf("alpha %g: Plan and PlanCached disagree:\n%s\nvs\n%s", tc.alpha, plans[0], plans[1])
+		}
+	}
+	zero, err := sys.Plan(PlanConfig{Effort: EffortTiny})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper, err := sys.Plan(PlanConfig{Alpha: 0.75, Effort: EffortTiny})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.Describe("vgg16") != paper.Describe("vgg16") {
+		t.Error("alpha 0 did not plan at the paper's 0.75")
+	}
+}
+
+// TestPlanCachedKeysPlanningParameters: one fleet planned through one cache
+// under another effort and alpha is a fresh miss that serves exactly what
+// Plan computes for that config — never the plan cached for the first.
+func TestPlanCachedKeysPlanningParameters(t *testing.T) {
+	sys, err := New("vgg16", fourProviders(), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewPlanCache(0)
+	first := PlanConfig{Alpha: 0.1, Effort: EffortTiny}
+	second := PlanConfig{Alpha: 0.9, Effort: EffortQuick}
+	if _, out, err := sys.PlanCached(first, cache); err != nil || out != PlanCold {
+		t.Fatalf("first request: outcome %q, err %v; want cold", out, err)
+	}
+	got, out, err := sys.PlanCached(second, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != PlanCold {
+		t.Fatalf("request under other planning parameters: outcome %q, want %q", out, PlanCold)
+	}
+	want, err := sys.Plan(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Describe("vgg16") != want.Describe("vgg16") {
+		t.Fatalf("PlanCached served another plan than Plan:\n%s\nvs\n%s", got.Describe("vgg16"), want.Describe("vgg16"))
+	}
+	if _, out, err := sys.PlanCached(first, cache); err != nil || out != PlanHit {
+		t.Fatalf("repeat of the first request: outcome %q, err %v; want hit", out, err)
+	}
+	if st := cache.Stats(); st.Entries != 2 || st.WarmHits != 0 {
+		t.Fatalf("cache stats = %+v, want 2 entries and no warm start", st)
 	}
 }

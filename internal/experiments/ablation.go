@@ -90,7 +90,7 @@ type AblationWarmStartResult struct {
 func AblationWarmStart(b Budget) (AblationWarmStartResult, error) {
 	spec := DeviceGroups()[1].Spec(cnn.VGG16(), 50, b.Seed)
 	env := spec.Env()
-	boundaries, err := lcpssBoundaries(env, b, 0.75)
+	boundaries, err := lcpssSearch(env, b, 0.75)
 	if err != nil {
 		return AblationWarmStartResult{}, err
 	}
@@ -131,7 +131,7 @@ type AblationPartitionRow struct {
 func AblationPartition(b Budget) ([]AblationPartitionRow, error) {
 	spec := DeviceGroups()[1].Spec(cnn.VGG16(), 50, b.Seed)
 	env := spec.Env()
-	lcpss, err := lcpssBoundaries(env, b, 0.75)
+	lcpss, err := lcpssSearch(env, b, 0.75)
 	if err != nil {
 		return nil, err
 	}
@@ -161,9 +161,4 @@ func AblationPartition(b Budget) ([]AblationPartitionRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// lcpssBoundaries is a small helper shared by the ablations.
-func lcpssBoundaries(env *sim.Env, b Budget, alpha float64) ([]int, error) {
-	return lcpssSearch(env, b, alpha)
 }

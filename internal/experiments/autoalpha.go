@@ -33,7 +33,7 @@ func PlanDistrEdgeAutoAlpha(env *sim.Env, b Budget, alphas []float64) (*strategy
 			continue // identical partition: OSDS would repeat itself
 		}
 		seen[key] = true
-		strat, err := osdsOn(env, b, boundaries)
+		strat, err := searchOSDS(env, boundaries, b)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("experiments: auto-alpha %g: %w", alpha, err)
 		}
@@ -49,13 +49,4 @@ func PlanDistrEdgeAutoAlpha(env *sim.Env, b Budget, alphas []float64) (*strategy
 		return nil, 0, 0, fmt.Errorf("experiments: auto-alpha found no strategy")
 	}
 	return bestStrat, bestAlpha, bestIPS, nil
-}
-
-// osdsOn runs OSDS over fixed boundaries under the budget.
-func osdsOn(env *sim.Env, b Budget, boundaries []int) (*strategy.Strategy, error) {
-	res, err := searchOSDS(env, boundaries, b)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

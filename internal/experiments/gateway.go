@@ -53,7 +53,7 @@ func FigGateway(b Budget, tenants []sim.TenantSpec, window int, sloMS float64) (
 	err := runIndexed(len(cases), b.Workers(), func(ci int) error {
 		c := cases[ci]
 		env := c.env()
-		strat, err := PlanObjective(env, b, 0.75, nil)
+		strat, err := PlanObjective(env, b, 0.75, nil, nil)
 		if err != nil {
 			return fmt.Errorf("experiments: gateway sweep %s: %w", c.name, err)
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"distredge/internal/cnn"
 	"distredge/internal/device"
@@ -19,9 +20,9 @@ const (
 )
 
 // PlanObjective plans a strategy for the given objective. The latency
-// default (nil or sim.LatencyObjective) is exactly PlanDistrEdge — the
-// paper's LC-PSS + OSDS pipeline, bit-identical to the pre-objective
-// planner. For other objectives the OSDS search runs with
+// default (nil or sim.LatencyObjective) with a nil init is exactly
+// PlanDistrEdge — the paper's LC-PSS + OSDS pipeline, bit-identical to the
+// pre-objective planner. For other objectives the OSDS search runs with
 // Config.Objective set, and two extensions matter for throughput:
 //
 //   - besides the LC-PSS boundaries the search also tries the pool-merged
@@ -32,89 +33,46 @@ const (
 //     directly (warm-start episodes add exploration noise, so the exact
 //     layout may never appear as an episode).
 //
-// Every candidate is scored by obj.Score at trace time 0 and the best one
-// is returned.
-func PlanObjective(env *sim.Env, b Budget, alpha float64, obj sim.Objective) (*strategy.Strategy, error) {
-	if sim.IsLatencyObjective(obj) {
+// A non-nil init warm-starts the search: it is a known-good strategy for
+// this exact fleet shape (same provider count) that the search explores
+// outward from. The seed's splits feed the splitter's Config.InitSplits
+// (scheduled as the first warm episode, so the best-strategy tracker is
+// anchored from episode 0), the seed's own volume boundaries join the
+// boundary sets searched, and the seed itself is scored as a candidate — so
+// the returned plan never scores worse than the seed under the requested
+// objective. Because the seed anchors the search, warm-started searches run
+// on half the episode budget: that is where the plan cache's warm-start
+// throughput win comes from (measured by BenchmarkPlannerService and the
+// `distbench -fig planner` sweep).
+//
+// Every candidate is scored by the objective at trace time 0 and the best
+// one is returned.
+func PlanObjective(env *sim.Env, b Budget, alpha float64, obj sim.Objective, init *strategy.Strategy) (*strategy.Strategy, error) {
+	latency := sim.IsLatencyObjective(obj)
+	if latency && init == nil {
 		return PlanDistrEdge(env, b, alpha)
 	}
 	n := env.NumProviders()
-	lcp, err := lcpssSearch(env, b, alpha)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: LC-PSS: %w", err)
-	}
-	boundarySets := [][]int{lcp}
-	if sb := StageBoundaries(env.Model, n); !equalBoundaries(sb, lcp) {
-		boundarySets = append(boundarySets, sb)
-	}
-	var best *strategy.Strategy
-	bestScore := math.Inf(1)
-	consider := func(s *strategy.Strategy) error {
-		sc, err := obj.Score(env, s, 0)
-		if err != nil {
-			return err
+	if init != nil {
+		if err := init.Validate(env.Model, n); err != nil {
+			return nil, fmt.Errorf("experiments: warm-start seed: %w", err)
 		}
-		if sc < bestScore {
-			best, bestScore = s, sc
-		}
-		return nil
-	}
-	for _, boundaries := range boundarySets {
-		cfg := osdsConfig(b, n, b.Seed)
-		cfg.Objective = obj
-		res, err := splitter.Search(env, boundaries, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: OSDS (%s): %w", obj.Name(), err)
-		}
-		if err := consider(res.Strategy); err != nil {
-			return nil, err
-		}
-		if err := consider(StageStrategy(env.Model, boundaries, n)); err != nil {
-			return nil, err
-		}
-	}
-	return best, nil
-}
-
-// PlanObjectiveInit is PlanObjective with a warm-start seed: init is a
-// known-good strategy for this exact fleet shape (same provider count) that
-// the search explores outward from. The seed's splits feed the splitter's
-// Config.InitSplits (scheduled as the first warm episode, so the
-// best-strategy tracker is anchored from episode 0), the seed's own volume
-// boundaries join the boundary sets searched, and the seed itself is scored
-// as a candidate — so the returned plan never scores worse than the seed
-// under the requested objective. Because the seed anchors the search,
-// warm-started searches run on half the episode budget: that is where the
-// plan-cache's warm-start throughput win comes from (measured by
-// BenchmarkPlannerService and the `distbench -fig planner` sweep). A nil
-// init is exactly PlanObjective.
-func PlanObjectiveInit(env *sim.Env, b Budget, alpha float64, obj sim.Objective, init *strategy.Strategy) (*strategy.Strategy, error) {
-	if init == nil {
-		return PlanObjective(env, b, alpha, obj)
-	}
-	n := env.NumProviders()
-	if err := init.Validate(env.Model, n); err != nil {
-		return nil, fmt.Errorf("experiments: warm-start seed: %w", err)
 	}
 	lcp, err := lcpssSearch(env, b, alpha)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: LC-PSS: %w", err)
 	}
 	boundarySets := [][]int{lcp}
-	if !equalBoundaries(init.Boundaries, lcp) {
-		boundarySets = append(boundarySets, init.Boundaries)
+	addBoundaries := func(bs []int) {
+		if !slices.ContainsFunc(boundarySets, func(have []int) bool { return slices.Equal(have, bs) }) {
+			boundarySets = append(boundarySets, bs)
+		}
 	}
-	if !sim.IsLatencyObjective(obj) {
-		sb := StageBoundaries(env.Model, n)
-		fresh := true
-		for _, bs := range boundarySets {
-			if equalBoundaries(bs, sb) {
-				fresh = false
-			}
-		}
-		if fresh {
-			boundarySets = append(boundarySets, sb)
-		}
+	if init != nil {
+		addBoundaries(init.Boundaries)
+	}
+	if !latency {
+		addBoundaries(StageBoundaries(env.Model, n))
 	}
 	scorer := sim.DefaultObjective(obj)
 	var best *strategy.Strategy
@@ -129,41 +87,32 @@ func PlanObjectiveInit(env *sim.Env, b Budget, alpha float64, obj sim.Objective,
 		}
 		return nil
 	}
-	if err := consider(init); err != nil {
-		return nil, err
+	if init != nil {
+		if err := consider(init); err != nil {
+			return nil, err
+		}
+		b.Episodes = (b.Episodes + 1) / 2
 	}
-	wb := b
-	wb.Episodes = (b.Episodes + 1) / 2
 	for _, boundaries := range boundarySets {
-		cfg := osdsConfig(wb, n, wb.Seed)
+		cfg := osdsConfig(b, n, b.Seed)
 		cfg.Objective = obj
-		cfg.InitSplits = init.Splits
+		if init != nil {
+			cfg.InitSplits = init.Splits
+		}
 		res, err := splitter.Search(env, boundaries, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: warm OSDS (%s): %w", scorer.Name(), err)
+			return nil, fmt.Errorf("experiments: OSDS (%s): %w", scorer.Name(), err)
 		}
 		if err := consider(res.Strategy); err != nil {
 			return nil, err
 		}
-		if !sim.IsLatencyObjective(obj) {
+		if !latency {
 			if err := consider(StageStrategy(env.Model, boundaries, n)); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return best, nil
-}
-
-func equalBoundaries(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ObjectiveRow is one cell of the planning-objective sweep: a case's
@@ -231,7 +180,7 @@ func FigObjective(b Budget, windows []int, objWindow int) ([]ObjectiveRow, error
 		}
 		var rows []ObjectiveRow
 		for _, pl := range planners {
-			strat, err := PlanObjective(env, b, 0.75, pl.obj)
+			strat, err := PlanObjective(env, b, 0.75, pl.obj, nil)
 			if err != nil {
 				return fmt.Errorf("experiments: objective sweep %s/%s: %w", c.name, pl.name, err)
 			}

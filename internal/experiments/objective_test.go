@@ -91,11 +91,11 @@ func TestFigObjectiveParallelDeterministic(t *testing.T) {
 func TestObjectiveDifferentialSimVsRuntime(t *testing.T) {
 	env := objectiveCases(1)[0].env() // stable Group DB on VGG-16
 	b := Tiny()
-	latPlan, err := PlanObjective(env, b, 0.75, nil)
+	latPlan, err := PlanObjective(env, b, 0.75, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ipsPlan, err := PlanObjective(env, b, 0.75, sim.ThroughputObjective{Window: 4})
+	ipsPlan, err := PlanObjective(env, b, 0.75, sim.ThroughputObjective{Window: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

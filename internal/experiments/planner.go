@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"distredge/internal/cnn"
 	"distredge/internal/plancache"
@@ -9,17 +10,24 @@ import (
 	"distredge/internal/strategy"
 )
 
-// Planner adapts the experiments planning pipeline to the plan-cache service
-// contract: cold requests run the full PlanObjective search, warm-started
-// ones run PlanObjectiveInit — seeded from the cached neighbour, on half the
-// episode budget. alpha <= 0 defaults to the pipeline's usual 0.75.
+// Planner adapts PlanObjective to the plan cache's Planner contract: cold
+// requests run the full search, warm-started ones the seeded search on half
+// the episode budget. Callers key its plans under PlanKey(b, alpha).
 func Planner(b Budget, alpha float64) plancache.Planner {
-	if alpha <= 0 {
-		alpha = 0.75
-	}
 	return func(env *sim.Env, obj sim.Objective, init *strategy.Strategy) (*strategy.Strategy, error) {
-		return PlanObjectiveInit(env, b, alpha, obj, init)
+		return PlanObjective(env, b, alpha, obj, init)
 	}
+}
+
+// PlanKey canonically names the parameters PlanObjective searches under —
+// the LC-PSS α and the budget's search shape — for the plan cache's
+// Signature.Params. The seed and the worker count are left out: the seed
+// picks one of equally valid searches (as the link jitter the signature
+// buckets away picks one of equally valid fleets), and workers never
+// change a plan.
+func PlanKey(b Budget, alpha float64) string {
+	return fmt.Sprintf("a%s/e%d/h%v/b%d/r%d",
+		strconv.FormatFloat(alpha, 'g', -1, 64), b.Episodes, b.Hidden, b.Batch, b.RandomSplits)
 }
 
 // PlannerRow is one planning of the planner-service sweep (fig planner).
@@ -55,8 +63,8 @@ type seedEntry struct {
 //
 //   - Cold plans each corpus fleet through a fresh, empty cache — every
 //     planning runs the full search;
-//   - Exact re-plans the same fleets through one service whose cache holds
-//     the cold corpus — every planning is an exact signature hit;
+//   - Exact re-plans the same fleets through one cache that holds the cold
+//     corpus — every planning is an exact signature hit;
 //   - Warm plans the neighbour fleets (same devices, bandwidth tiers chosen
 //     to land in buckets the corpus does not occupy) against the cold
 //     corpus — every planning warm-starts from its nearest corpus entry.
@@ -67,10 +75,12 @@ type seedEntry struct {
 // other's fresh results), so concurrency cannot change which donor seeds
 // which fleet.
 type PlannerSweep struct {
-	b     Budget
-	alpha float64
-	seeds []seedEntry
-	stats plancache.Stats
+	b       Budget
+	alpha   float64
+	key     string // PlanKey(b, alpha)
+	planner plancache.Planner
+	seeds   []seedEntry
+	stats   plancache.Stats
 }
 
 // NewPlannerSweep builds the sweep harness on the given budget.
@@ -78,7 +88,7 @@ func NewPlannerSweep(b Budget, alpha float64) *PlannerSweep {
 	if alpha <= 0 {
 		alpha = 0.75
 	}
-	return &PlannerSweep{b: b, alpha: alpha}
+	return &PlannerSweep{b: b, alpha: alpha, key: PlanKey(b, alpha), planner: Planner(b, alpha)}
 }
 
 // plannerSpecs returns the sweep's fleet corpus. The bandwidth tiers sit in
@@ -98,9 +108,9 @@ func plannerSpecs(seed int64) (cold, warm []Spec) {
 	return cold, warm
 }
 
-// Cold runs the cold phase: each corpus fleet planned through a fresh
-// service with an empty cache. The results become the seed corpus for the
-// Exact and Warm phases.
+// Cold runs the cold phase: each corpus fleet planned through a fresh,
+// empty cache. The results become the seed corpus for the Exact and Warm
+// phases.
 func (ps *PlannerSweep) Cold() ([]PlannerRow, error) {
 	cold, _ := plannerSpecs(ps.b.Seed)
 	rows := make([]PlannerRow, len(cold))
@@ -108,18 +118,15 @@ func (ps *PlannerSweep) Cold() ([]PlannerRow, error) {
 	stats := make([]plancache.Stats, len(cold))
 	err := runIndexed(len(cold), ps.b.Workers(), func(i int) error {
 		spec := cold[i]
-		svc, err := plancache.NewService(plancache.Config{Planner: Planner(ps.b, ps.alpha)})
-		if err != nil {
-			return err
-		}
+		cache := plancache.New(0)
 		env := spec.Env()
-		res, err := svc.Plan(env, nil)
+		res, err := cache.Plan(env, nil, ps.key, ps.planner)
 		if err != nil {
 			return fmt.Errorf("experiments: planner sweep cold %s: %w", spec.Name, err)
 		}
 		rows[i] = PlannerRow{Phase: PlannerPhaseCold, Fleet: spec.Name, Outcome: res.Outcome, Score: res.Score}
-		seeds[i] = seedEntry{sig: plancache.SignatureOf(env, nil), strat: res.Strategy, score: res.Score}
-		stats[i] = svc.Cache().Stats()
+		seeds[i] = seedEntry{sig: plancache.SignatureOf(env, nil, ps.key), strat: res.Strategy, score: res.Score}
+		stats[i] = cache.Stats()
 		return nil
 	})
 	if err != nil {
@@ -132,30 +139,28 @@ func (ps *PlannerSweep) Cold() ([]PlannerRow, error) {
 	return rows, nil
 }
 
+// corpus returns a fresh cache holding every cold-phase plan.
+func (ps *PlannerSweep) corpus() *plancache.Cache {
+	cache := plancache.New(0)
+	for _, s := range ps.seeds {
+		cache.Put(s.sig, s.strat, s.score)
+	}
+	return cache
+}
+
 // Exact runs the exact-hit phase: the corpus fleets re-planned through one
-// shared service whose cache already holds every corpus entry. Every
-// planning must be an exact signature hit. Cold must have run first.
+// shared cache that already holds every corpus entry. Every planning must
+// be an exact signature hit. Cold must have run first.
 func (ps *PlannerSweep) Exact() ([]PlannerRow, error) {
 	if len(ps.seeds) == 0 {
 		return nil, fmt.Errorf("experiments: planner sweep: Exact before Cold")
 	}
 	cold, _ := plannerSpecs(ps.b.Seed)
-	cache := plancache.New(0)
-	for _, s := range ps.seeds {
-		cache.Put(s.sig, s.strat, s.score)
-	}
-	svc, err := plancache.NewService(plancache.Config{
-		Cache:   cache,
-		Workers: ps.b.Workers(),
-		Planner: Planner(ps.b, ps.alpha),
-	})
-	if err != nil {
-		return nil, err
-	}
+	cache := ps.corpus()
 	rows := make([]PlannerRow, len(cold))
-	err = runIndexed(len(cold), ps.b.Workers(), func(i int) error {
+	err := runIndexed(len(cold), ps.b.Workers(), func(i int) error {
 		spec := cold[i]
-		res, err := svc.Plan(spec.Env(), nil)
+		res, err := cache.Plan(spec.Env(), nil, ps.key, ps.planner)
 		if err != nil {
 			return fmt.Errorf("experiments: planner sweep exact %s: %w", spec.Name, err)
 		}
@@ -165,15 +170,15 @@ func (ps *PlannerSweep) Exact() ([]PlannerRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	ps.addStats(svc.Cache().Stats())
+	ps.addStats(cache.Stats())
 	return rows, nil
 }
 
 // Warm runs the warm-start phase: each neighbour fleet planned through its
-// own service whose cache is pre-seeded with the full cold corpus (and
-// nothing else — so concurrent plannings cannot observe each other and rows
-// stay deterministic). Every planning must warm-start. Cold must have run
-// first. ColdScore is left zero — WarmReference fills it — so a caller can
+// own cache pre-seeded with the full cold corpus (and nothing else — so
+// concurrent plannings cannot observe each other and rows stay
+// deterministic). Every planning must warm-start. Cold must have run first.
+// ColdScore is left zero — WarmReference fills it — so a caller can
 // wall-clock this method into an honest warm plans/sec figure.
 func (ps *PlannerSweep) Warm() ([]PlannerRow, error) {
 	if len(ps.seeds) == 0 {
@@ -184,15 +189,8 @@ func (ps *PlannerSweep) Warm() ([]PlannerRow, error) {
 	stats := make([]plancache.Stats, len(warm))
 	err := runIndexed(len(warm), ps.b.Workers(), func(i int) error {
 		spec := warm[i]
-		cache := plancache.New(0)
-		for _, s := range ps.seeds {
-			cache.Put(s.sig, s.strat, s.score)
-		}
-		svc, err := plancache.NewService(plancache.Config{Cache: cache, Planner: Planner(ps.b, ps.alpha)})
-		if err != nil {
-			return err
-		}
-		res, err := svc.Plan(spec.Env(), nil)
+		cache := ps.corpus()
+		res, err := cache.Plan(spec.Env(), nil, ps.key, ps.planner)
 		if err != nil {
 			return fmt.Errorf("experiments: planner sweep warm %s: %w", spec.Name, err)
 		}
@@ -203,7 +201,7 @@ func (ps *PlannerSweep) Warm() ([]PlannerRow, error) {
 			SeedKey: res.SeedKey,
 			Score:   res.Score,
 		}
-		stats[i] = svc.Cache().Stats()
+		stats[i] = cache.Stats()
 		return nil
 	})
 	if err != nil {
@@ -228,7 +226,7 @@ func (ps *PlannerSweep) WarmReference(rows []PlannerRow) error {
 	return runIndexed(len(warm), ps.b.Workers(), func(i int) error {
 		spec := warm[i]
 		env := spec.Env()
-		coldStrat, err := PlanObjective(env, ps.b, ps.alpha, nil)
+		coldStrat, err := PlanObjective(env, ps.b, ps.alpha, nil, nil)
 		if err != nil {
 			return fmt.Errorf("experiments: planner sweep warm %s (cold reference): %w", spec.Name, err)
 		}

@@ -72,7 +72,7 @@ func plannerGoldenLines(t *testing.T) []string {
 		seedNames := []string{"latency", "ips", "stage", "pool"}
 		for i, o := range objs {
 			env := donor.Env()
-			s, err := PlanObjective(env, b, alpha, o.obj)
+			s, err := PlanObjective(env, b, alpha, o.obj, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func plannerGoldenLines(t *testing.T) []string {
 		for _, o := range objs {
 			for i, seedName := range seedNames {
 				env := target.Env()
-				s, err := PlanObjectiveInit(env, b, alpha, o.obj, seeds[i])
+				s, err := PlanObjective(env, b, alpha, o.obj, seeds[i])
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -21,9 +21,9 @@ package gateway
 // The ordering key is the admission policy's, bit-identical to the linear
 // scan it replaces (and so to sim.Env.Serve): FIFO orders by the
 // head request's global sequence number, WFQ by vserved + 1/weight with
-// ties to the lower tenant index. pickScanLocked preserves the old scan as
-// the reference implementation; TestHeapMatchesScan drives both through
-// seeded traffic and insists on identical picks.
+// ties to the lower tenant index. The old scan survives in the tests as the
+// reference implementation (pickScanLocked); TestHeapMatchesScan drives both
+// through seeded traffic and insists on identical picks.
 
 // ring is a growable FIFO deque of requests backed by a power-of-two
 // circular buffer. front/pop require a non-empty ring.
@@ -174,32 +174,4 @@ func (g *Gateway) heapSyncLocked(t int) {
 	case want && in:
 		g.heapFixLocked(t)
 	}
-}
-
-// pickScanLocked is the former O(n) admission pick, kept as the reference
-// implementation the heap is verified against (and the baseline
-// BenchmarkGatewayPick measures the speedup over). The rule is
-// bit-identical to sim.Env.Serve: FIFO takes the lowest global
-// sequence number; WFQ takes the lowest vserved + 1/weight, ties to the
-// lower tenant index.
-func (g *Gateway) pickScanLocked() int {
-	best := -1
-	var bestFIFO uint64
-	var bestWFQ float64
-	for t := range g.queues {
-		if g.queues[t].len() == 0 || g.tinfl[t] >= g.tenants[t].Window {
-			continue
-		}
-		switch g.cfg.Policy {
-		case PolicyFIFO:
-			if key := g.queues[t].front().seq; best < 0 || key < bestFIFO {
-				best, bestFIFO = t, key
-			}
-		case PolicyWFQ:
-			if key := g.vserved[t] + 1/g.tenants[t].Weight; best < 0 || key < bestWFQ {
-				best, bestWFQ = t, key
-			}
-		}
-	}
-	return best
 }

@@ -9,6 +9,34 @@ import (
 	"time"
 )
 
+// pickScanLocked is the former O(n) admission pick, kept in the tests as
+// the reference implementation the heap is verified against (and the baseline
+// BenchmarkGatewayPick measures the speedup over). The rule is
+// bit-identical to sim.Env.Serve: FIFO takes the lowest global
+// sequence number; WFQ takes the lowest vserved + 1/weight, ties to the
+// lower tenant index.
+func (g *Gateway) pickScanLocked() int {
+	best := -1
+	var bestFIFO uint64
+	var bestWFQ float64
+	for t := range g.queues {
+		if g.queues[t].len() == 0 || g.tinfl[t] >= g.tenants[t].Window {
+			continue
+		}
+		switch g.cfg.Policy {
+		case PolicyFIFO:
+			if key := g.queues[t].front().seq; best < 0 || key < bestFIFO {
+				best, bestFIFO = t, key
+			}
+		case PolicyWFQ:
+			if key := g.vserved[t] + 1/g.tenants[t].Weight; best < 0 || key < bestWFQ {
+				best, bestWFQ = t, key
+			}
+		}
+	}
+	return best
+}
+
 // TestHeapMatchesScan drives the heap scheduler and the former O(n) scan
 // through the same seeded traffic — enqueues, admissions, completions over
 // tenants with mixed weights and windows — and insists every pick is

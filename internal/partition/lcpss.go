@@ -67,7 +67,7 @@ type searcher struct {
 // indices from 0 to the number of splittable layers).
 func Search(m *cnn.Model, cfg Config) ([]int, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Alpha < 0 || cfg.Alpha > 1 {
+	if !(cfg.Alpha >= 0 && cfg.Alpha <= 1) { // rejects NaN too
 		return nil, fmt.Errorf("partition: alpha %g outside [0,1]", cfg.Alpha)
 	}
 	if cfg.Providers < 1 {

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"testing"
 
 	"distredge/internal/cnn"
@@ -75,6 +76,9 @@ func TestSearchErrors(t *testing.T) {
 	}
 	if _, err := Search(m, Config{Alpha: 1.5, NumRandomSplits: 10, Providers: 4}); err == nil {
 		t.Error("alpha > 1 must error")
+	}
+	if _, err := Search(m, Config{Alpha: math.NaN(), NumRandomSplits: 10, Providers: 4}); err == nil {
+		t.Error("NaN alpha must error")
 	}
 	if _, err := Search(m, Config{Alpha: 0.5, NumRandomSplits: 10, Providers: -2}); err == nil {
 		t.Error("negative providers must error")

@@ -31,17 +31,19 @@ type entry struct {
 }
 
 // Cache is a concurrency-safe, LRU-bounded plan cache keyed by fleet
-// signature. Stored strategies are cloned on Put and returned by pointer on
-// Get — callers must treat retrieved strategies as read-only (every
-// consumer in this repo does: simulation, compilation and deployment only
-// read them), which keeps exact hits allocation-free.
+// signature, and the planner service over it (Plan). Stored strategies are
+// cloned on Put and returned by pointer on Get — callers must treat
+// retrieved strategies as read-only (every consumer in this repo does:
+// simulation, compilation and deployment only read them), which keeps exact
+// hits allocation-free.
 type Cache struct {
 	capacity int
 
 	mu         sync.Mutex
-	entries    map[string]*entry // guarded by mu
-	head, tail *entry            // guarded by mu; LRU list, most recent first
-	stats      Stats             // guarded by mu
+	entries    map[string]*entry  // guarded by mu
+	head, tail *entry             // guarded by mu; LRU list, most recent first
+	stats      Stats              // guarded by mu
+	inflight   map[string]*flight // guarded by mu; Plan's single-flight table
 }
 
 // New builds a cache bounded to the given number of entries
@@ -50,7 +52,7 @@ func New(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Cache{capacity: capacity, entries: make(map[string]*entry)}
+	return &Cache{capacity: capacity, entries: make(map[string]*entry), inflight: make(map[string]*flight)}
 }
 
 // Get retrieves the strategy cached under the exact signature, with its
@@ -59,14 +61,24 @@ func (c *Cache) Get(sig Signature) (*strategy.Strategy, float64, bool) {
 	key := sig.Key()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e := c.lookupLocked(key)
+	if e == nil {
+		return nil, 0, false
+	}
+	return e.strat, e.score, true
+}
+
+// lookupLocked finds the entry under key, counting the hit or miss and
+// promoting a hit to most-recently-used. Caller holds mu.
+func (c *Cache) lookupLocked(key string) *entry {
 	e := c.entries[key]
 	if e == nil {
 		c.stats.Misses++
-		return nil, 0, false
+		return nil
 	}
 	c.stats.Hits++
 	c.promoteLocked(e)
-	return e.strat, e.score, true
+	return e
 }
 
 // Put stores (a clone of) the strategy under the signature, evicting the

@@ -14,7 +14,7 @@ import (
 	"distredge/internal/strategy"
 )
 
-// balancedPlanner is a cheap deterministic Planner for service tests: the
+// balancedPlanner is a cheap deterministic Planner for Cache.Plan tests: the
 // profile-balanced single-volume layout, ignoring init. calls counts real
 // plannings.
 func balancedPlanner(calls *atomic.Int64) Planner {
@@ -30,9 +30,13 @@ func balancedPlanner(calls *atomic.Int64) Planner {
 	}
 }
 
+// The TestService* tests exercise Cache.Plan, the planner service over the
+// cache.
+
 func TestServiceRequiresPlanner(t *testing.T) {
-	if _, err := NewService(Config{}); err == nil {
-		t.Fatal("NewService accepted a nil Planner")
+	env := sigEnv(cnn.VGG16(), 3, []float64{100, 100}, device.Xavier, device.Nano)
+	if _, err := New(0).Plan(env, nil, "", nil); err == nil {
+		t.Fatal("Plan accepted a nil Planner")
 	}
 }
 
@@ -42,12 +46,9 @@ func TestServiceRequiresPlanner(t *testing.T) {
 // the same seed inputs.
 func TestServiceExactHitDeterminism(t *testing.T) {
 	var calls atomic.Int64
-	svc, err := NewService(Config{Planner: balancedPlanner(&calls)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := New(0)
 	env := sigEnv(cnn.VGG16(), 3, []float64{100, 200, 100}, device.Xavier, device.Nano, device.TX2)
-	first, err := svc.Plan(env, nil)
+	first, err := cache.Plan(env, nil, "", balancedPlanner(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestServiceExactHitDeterminism(t *testing.T) {
 	}
 	// Same fleet, rebuilt from scratch (fresh traces, same nominal regime).
 	again := sigEnv(cnn.VGG16(), 3, []float64{100, 200, 100}, device.Xavier, device.Nano, device.TX2)
-	second, err := svc.Plan(again, nil)
+	second, err := cache.Plan(again, nil, "", balancedPlanner(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +70,8 @@ func TestServiceExactHitDeterminism(t *testing.T) {
 	if second.Strategy != first.Strategy {
 		t.Fatal("exact hit returned a different pointer than the cached plan")
 	}
-	// Independent recomputation on a fresh service must be bit-identical.
-	fresh, err := NewService(Config{Planner: balancedPlanner(nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recomputed, err := fresh.Plan(env, nil)
+	// Independent recomputation on a fresh cache must be bit-identical.
+	recomputed, err := New(0).Plan(env, nil, "", balancedPlanner(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +81,7 @@ func TestServiceExactHitDeterminism(t *testing.T) {
 	if recomputed.Score != first.Score {
 		t.Fatalf("recomputed score %v != cached %v", recomputed.Score, first.Score)
 	}
-	st := svc.Cache().Stats()
+	st := cache.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats %+v, want exactly 1 hit and 1 miss", st)
 	}
@@ -99,25 +96,22 @@ func TestServiceWarmStart(t *testing.T) {
 		mu.Unlock()
 		return balancedPlanner(nil)(env, obj, init)
 	}
-	svc, err := NewService(Config{Planner: planner})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := New(0)
 	cold := sigEnv(cnn.VGG16(), 3, []float64{100, 100}, device.Xavier, device.Nano)
-	coldRes, err := svc.Plan(cold, nil)
+	coldRes, err := cache.Plan(cold, nil, "", planner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same devices one bandwidth tier up: a near miss, not an exact hit.
 	near := sigEnv(cnn.VGG16(), 3, []float64{150, 150}, device.Xavier, device.Nano)
-	warmRes, err := svc.Plan(near, nil)
+	warmRes, err := cache.Plan(near, nil, "", planner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warmRes.Outcome != OutcomeWarm {
 		t.Fatalf("near-miss outcome %q, want warm", warmRes.Outcome)
 	}
-	if want := SignatureOf(cold, nil).Key(); warmRes.SeedKey != want {
+	if want := SignatureOf(cold, nil, "").Key(); warmRes.SeedKey != want {
 		t.Fatalf("SeedKey = %q, want donor %q", warmRes.SeedKey, want)
 	}
 	if len(inits) != 2 || inits[0] != nil || inits[1] == nil {
@@ -126,7 +120,7 @@ func TestServiceWarmStart(t *testing.T) {
 	if !reflect.DeepEqual(inits[1], coldRes.Strategy) {
 		t.Fatal("warm start was not seeded with the donor strategy")
 	}
-	st := svc.Cache().Stats()
+	st := cache.Stats()
 	if st.WarmHits != 1 || st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("stats %+v, want 2 misses of which 1 warm", st)
 	}
@@ -148,23 +142,20 @@ func TestServiceWarmNeverWorseThanSeed(t *testing.T) {
 			Splits:     [][]int{strategy.AllOnProvider(h, env.NumProviders(), env.NumProviders()-1)},
 		}, nil
 	}
-	svc, err := NewService(Config{Planner: bad})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := New(0)
 	cold := sigEnv(cnn.VGG16(), 3, []float64{100, 100}, device.Xavier, device.Nano)
-	coldRes, err := svc.Plan(cold, nil)
+	coldRes, err := cache.Plan(cold, nil, "", bad)
 	if err != nil {
 		t.Fatal(err)
 	}
 	near := sigEnv(cnn.VGG16(), 3, []float64{150, 150}, device.Xavier, device.Nano)
 	// Equal provider counts: the donor strategy transfers index-for-index,
-	// so the seed the service will use is exactly the cold strategy.
+	// so the seed Plan will use is exactly the cold strategy.
 	seedScore, err := sim.DefaultObjective(nil).Score(near, coldRes.Strategy, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc.Plan(near, nil)
+	res, err := cache.Plan(near, nil, "", bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,50 +175,9 @@ func TestServiceWarmNeverWorseThanSeed(t *testing.T) {
 // share one planning.
 func TestServiceSingleFlight(t *testing.T) {
 	var calls atomic.Int64
-	started := make(chan struct{})
-	release := make(chan struct{})
-	planner := func(env *sim.Env, obj sim.Objective, init *strategy.Strategy) (*strategy.Strategy, error) {
-		if calls.Add(1) == 1 {
-			close(started)
-			<-release
-		}
-		return balancedPlanner(nil)(env, obj, init)
-	}
-	svc, err := NewService(Config{Planner: planner, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := sigEnv(cnn.VGG16(), 3, []float64{100, 100}, device.Xavier, device.Nano)
-	results := make([]Result, 2)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r, err := svc.Plan(env, nil)
-		if err != nil {
-			t.Error(err)
-		}
-		results[0] = r
-	}()
-	<-started // first flight is inside the planner
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r, err := svc.Plan(sigEnv(cnn.VGG16(), 3, []float64{100, 100}, device.Xavier, device.Nano), nil)
-		if err != nil {
-			t.Error(err)
-		}
-		results[1] = r
-	}()
-	// Let the duplicate reach the in-flight wait, then release the first
-	// flight. (Even if the duplicate were late and arrived after the first
-	// flight finished, it would be served by the cache — the assertions
-	// below hold either way, so the test cannot flake.)
-	for i := 0; i < 100; i++ {
-		runtime.Gosched()
-	}
-	close(release)
-	wg.Wait()
+	planner := blockingPlanner(&calls)
+	cache := New(0)
+	results := planTwice(t, cache, planner.plan, planner.plan, planner)
 	if calls.Load() != 1 {
 		t.Fatalf("planner ran %d times for one signature, want 1", calls.Load())
 	}
@@ -236,8 +186,93 @@ func TestServiceSingleFlight(t *testing.T) {
 	}
 }
 
-// TestServiceConcurrentDistinct: distinct signatures plan concurrently when
-// workers allow — two plannings must be in flight at the same time.
+// TestCacheSingleFlightAcrossCallers: two callers that share only the cache
+// — each with its own Planner value, as every System.PlanCached call builds
+// one — still plan an identical signature once.
+func TestCacheSingleFlightAcrossCallers(t *testing.T) {
+	var calls atomic.Int64
+	shared := blockingPlanner(&calls)
+	// Two distinct closures over one counter: the second caller's planner
+	// is a different Planner value from the first's.
+	first := func(env *sim.Env, obj sim.Objective, init *strategy.Strategy) (*strategy.Strategy, error) {
+		return shared.plan(env, obj, init)
+	}
+	second := func(env *sim.Env, obj sim.Objective, init *strategy.Strategy) (*strategy.Strategy, error) {
+		return shared.plan(env, obj, init)
+	}
+	cache := New(0)
+	results := planTwice(t, cache, first, second, shared)
+	if calls.Load() != 1 {
+		t.Fatalf("planner ran %d times for one signature across two callers, want 1", calls.Load())
+	}
+	if results[0].Strategy != results[1].Strategy {
+		t.Fatal("the second caller got a different strategy pointer")
+	}
+	if st := cache.Stats(); st.Misses != 2 || st.Hits != 0 || cache.Len() != 1 {
+		t.Fatalf("stats %+v with %d entries, want 2 misses into 1 entry", st, cache.Len())
+	}
+}
+
+// gatedPlanner is a balanced planner whose first planning blocks inside
+// the planner until released, so a second request can arrive mid-flight.
+type gatedPlanner struct {
+	calls   *atomic.Int64
+	started chan struct{}
+	release chan struct{}
+}
+
+func blockingPlanner(calls *atomic.Int64) *gatedPlanner {
+	return &gatedPlanner{calls: calls, started: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gatedPlanner) plan(env *sim.Env, obj sim.Objective, init *strategy.Strategy) (*strategy.Strategy, error) {
+	if g.calls.Add(1) == 1 {
+		close(g.started)
+		<-g.release
+	}
+	return balancedPlanner(nil)(env, obj, init)
+}
+
+// planTwice plans one fleet signature twice on the cache: first with
+// planner a, then — while a's flight is blocked inside the planner — with
+// planner b on a freshly built env of the same fleet.
+func planTwice(t *testing.T, cache *Cache, a, b Planner, g *gatedPlanner) [2]Result {
+	t.Helper()
+	var results [2]Result
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r, err := cache.Plan(sigEnv(cnn.VGG16(), 3, []float64{100, 100}, device.Xavier, device.Nano), nil, "", a)
+		if err != nil {
+			t.Error(err)
+		}
+		results[0] = r
+	}()
+	<-g.started // first flight is inside the planner
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r, err := cache.Plan(sigEnv(cnn.VGG16(), 3, []float64{100, 100}, device.Xavier, device.Nano), nil, "", b)
+		if err != nil {
+			t.Error(err)
+		}
+		results[1] = r
+	}()
+	// Release the first flight only once the duplicate has missed: Plan's
+	// lookup and its single-flight check share one critical section, so the
+	// duplicate is then committed to waiting on the flight (or, without
+	// single-flight, to planning again).
+	for cache.Stats().Misses < 2 {
+		runtime.Gosched()
+	}
+	close(g.release)
+	wg.Wait()
+	return results
+}
+
+// TestServiceConcurrentDistinct: distinct signatures plan concurrently —
+// two plannings must be in flight at the same time.
 func TestServiceConcurrentDistinct(t *testing.T) {
 	var inFlight, peak atomic.Int64
 	var enterBoth sync.WaitGroup
@@ -255,10 +290,7 @@ func TestServiceConcurrentDistinct(t *testing.T) {
 		enterBoth.Wait() // barrier: both plannings must be inside at once
 		return balancedPlanner(nil)(env, obj, init)
 	}
-	svc, err := NewService(Config{Planner: planner, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := New(0)
 	envs := []*sim.Env{
 		sigEnv(cnn.VGG16(), 3, []float64{100, 100}, device.Xavier, device.Nano),
 		sigEnv(cnn.VGG16(), 3, []float64{400, 400}, device.Xavier, device.Nano),
@@ -268,7 +300,7 @@ func TestServiceConcurrentDistinct(t *testing.T) {
 		wg.Add(1)
 		go func(env *sim.Env) {
 			defer wg.Done()
-			if _, err := svc.Plan(env, nil); err != nil {
+			if _, err := cache.Plan(env, nil, "", planner); err != nil {
 				t.Error(err)
 			}
 		}(env)

@@ -18,16 +18,18 @@ import (
 //
 // obj is the objective the deployment serves (nil = latency), matching
 // runtime Options.Objective; it is part of the signature and scores the
-// cached entries. inner is the re-planner to fall back to — the caller's
-// previous Options.Replan, e.g. splitter.ObjectiveReplan(obj) or
-// splitter.SearchReplan.
-func CachedReplan(c *Cache, obj sim.Objective, inner sim.ReplanFunc) sim.ReplanFunc {
+// cached entries. params are the planner parameters the deployment's plans
+// are keyed under (Signature.Params), so a recovery into a fleet shape the
+// deployment planned through Cache.Plan finds that plan. inner is the
+// re-planner to fall back to — the caller's previous Options.Replan, e.g.
+// splitter.ObjectiveReplan(obj) or splitter.SearchReplan.
+func CachedReplan(c *Cache, obj sim.Objective, params string, inner sim.ReplanFunc) sim.ReplanFunc {
 	return func(env *sim.Env, old *strategy.Strategy, alive []bool) (*strategy.Strategy, error) {
 		sub, _, err := env.Subset(alive)
 		if err != nil {
 			return inner(env, old, alive)
 		}
-		sig := SignatureOf(sub, obj)
+		sig := SignatureOf(sub, obj, params)
 		if cached, _, ok := c.Get(sig); ok {
 			lifted, err := strategy.Lift(env.Model, cached, alive)
 			if err == nil {

@@ -29,7 +29,7 @@ func TestCachedReplanHitsOnRecurringFleetShape(t *testing.T) {
 	}
 	cache := New(0)
 	var innerCalls int
-	replan := CachedReplan(cache, nil, countReplans(&innerCalls, splitter.BalancedReplan))
+	replan := CachedReplan(cache, nil, "", countReplans(&innerCalls, splitter.BalancedReplan))
 	alive := []bool{true, false, true}
 
 	first, err := replan(env, old, alive)
@@ -69,7 +69,7 @@ func TestCachedReplanFallsBackOnInnerError(t *testing.T) {
 	boundaries := strategy.SingleVolume(env.Model)
 	h := strategy.VolumeHeight(env.Model, boundaries, 0)
 	old := &strategy.Strategy{Boundaries: boundaries, Splits: [][]int{strategy.EqualCuts(h, 2)}}
-	replan := CachedReplan(New(0), nil, splitter.BalancedReplan)
+	replan := CachedReplan(New(0), nil, "", splitter.BalancedReplan)
 	// Killing every provider must surface the inner replanner's error, not
 	// a cache artifact.
 	if _, err := replan(env, old, []bool{false, false}); err == nil {

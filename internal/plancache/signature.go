@@ -48,12 +48,19 @@ type DeviceSig struct {
 
 // Signature canonically identifies a planning request: the model, the
 // objective (with defaults normalised, so semantically equal objectives
-// alias), the ordered provider fleet and the requester's own link regime.
-// Device order is part of the identity — a strategy's splits are indexed by
-// provider, so permuted fleets must not share cached strategies.
+// alias), the planner parameters, the ordered provider fleet and the
+// requester's own link regime. Device order is part of the identity — a
+// strategy's splits are indexed by provider, so permuted fleets must not
+// share cached strategies.
 type Signature struct {
 	Model     string
 	Objective string
+	// Params canonically names the planner parameters the plan is searched
+	// under (search budget and LC-PSS α — see experiments.PlanKey; "" when
+	// the caller has none). Like Objective, it must match exactly: a plan
+	// searched under other parameters is neither served nor used as a
+	// warm-start seed. It must not contain '|'.
+	Params    string
 	Devices   []DeviceSig
 	Requester DeviceSig // Dev is empty: only the link regime matters
 }
@@ -66,6 +73,8 @@ func (s Signature) Key() string {
 	b.WriteString(s.Model)
 	b.WriteByte('|')
 	b.WriteString(s.Objective)
+	b.WriteByte('|')
+	b.WriteString(s.Params)
 	for _, d := range s.Devices {
 		fmt.Fprintf(&b, "|%s@%d~%d", d.Dev, d.BW, d.Spread)
 	}
@@ -74,12 +83,14 @@ func (s Signature) Key() string {
 }
 
 // SignatureOf derives the fleet signature of a planning request from the
-// environment and objective. It is deterministic: the same env contents and
-// objective always produce the same signature.
-func SignatureOf(env *sim.Env, obj sim.Objective) Signature {
+// environment, objective and planner parameters. It is deterministic: the
+// same env contents, objective and params always produce the same
+// signature.
+func SignatureOf(env *sim.Env, obj sim.Objective, params string) Signature {
 	sig := Signature{
 		Model:     env.Model.Name,
 		Objective: ObjectiveKey(obj),
+		Params:    params,
 		Devices:   make([]DeviceSig, 0, len(env.Devices)),
 	}
 	probe := probeLayer(env.Model)
@@ -187,7 +198,8 @@ const spreadWeight = 4
 // Distance is the documented warm-start distance between two fleet
 // signatures:
 //
-//   - different model or objective → +Inf (strategies are not transferable);
+//   - different model, objective or planner parameters → +Inf (strategies
+//     are not transferable);
 //   - devices are matched as a multiset by fingerprint; every matched pair
 //     contributes the absolute difference of its bandwidth buckets plus
 //     spreadWeight per fluctuation-bucket delta;
@@ -197,7 +209,7 @@ const spreadWeight = 4
 // Lower is closer; the nearest cached neighbour under this distance seeds
 // the warm-started search.
 func Distance(a, b Signature) float64 {
-	if a.Model != b.Model || a.Objective != b.Objective {
+	if a.Model != b.Model || a.Objective != b.Objective || a.Params != b.Params {
 		return math.Inf(1)
 	}
 	cost := float64(bucketDelta(a.Requester, b.Requester))

@@ -25,7 +25,7 @@ func TestSignatureDeterministic(t *testing.T) {
 	build := func() Signature {
 		env := sigEnv(cnn.VGG16(), 7, []float64{100, 200, 100, 50},
 			device.Xavier, device.Nano, device.TX2, device.Pi3)
-		return SignatureOf(env, sim.ThroughputObjective{Window: 8})
+		return SignatureOf(env, sim.ThroughputObjective{Window: 8}, "")
 	}
 	a, b := build(), build()
 	if a.Key() != b.Key() {
@@ -37,8 +37,8 @@ func TestSignatureJitterInvariant(t *testing.T) {
 	// Two Stable traces of the same nominal bandwidth differ sample by
 	// sample (different seeds) but describe the same regime: the signature
 	// must alias them, or recurring fleets would never hit the cache.
-	a := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{200, 200}, device.Nano, device.Nano), nil)
-	b := SignatureOf(sigEnv(cnn.VGG16(), 99, []float64{200, 200}, device.Nano, device.Nano), nil)
+	a := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{200, 200}, device.Nano, device.Nano), nil, "")
+	b := SignatureOf(sigEnv(cnn.VGG16(), 99, []float64{200, 200}, device.Nano, device.Nano), nil, "")
 	if a.Key() != b.Key() {
 		t.Fatalf("same nominal regime, different seeds, keys differ:\n%s\n%s", a.Key(), b.Key())
 	}
@@ -72,7 +72,7 @@ func TestSignatureCollisionProperty(t *testing.T) {
 			net.Providers = append(net.Providers, network.DefaultLink(network.Stable(tiers[c.bw[i]], 10, int64(i))))
 		}
 		env := &sim.Env{Model: m, Devices: device.AsModels(device.Fleet(devs...)), Net: net}
-		return SignatureOf(env, objectives[c.obj]).Key()
+		return SignatureOf(env, objectives[c.obj], "").Key()
 	}
 	canon := func(c fleetCfg) string {
 		// A canonical rendering of the config itself: two configs are the
@@ -130,7 +130,7 @@ func TestSignatureSpreadRegime(t *testing.T) {
 			},
 		},
 	}
-	a, b := SignatureOf(flat, nil), SignatureOf(churny, nil)
+	a, b := SignatureOf(flat, nil, ""), SignatureOf(churny, nil, "")
 	if a.Key() == b.Key() {
 		t.Fatalf("flat and fluctuating regimes alias to %s", a.Key())
 	}
@@ -143,8 +143,8 @@ func TestSignatureSpreadRegime(t *testing.T) {
 }
 
 func TestSignatureOrderMatters(t *testing.T) {
-	a := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{100, 100}, device.Xavier, device.Nano), nil)
-	b := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{100, 100}, device.Nano, device.Xavier), nil)
+	a := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{100, 100}, device.Xavier, device.Nano), nil, "")
+	b := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{100, 100}, device.Nano, device.Xavier), nil, "")
 	if a.Key() == b.Key() {
 		t.Fatal("permuted fleets alias: splits are provider-indexed, order must be identity")
 	}
@@ -186,25 +186,32 @@ func TestObjectiveKeyNormalisesDefaults(t *testing.T) {
 }
 
 func TestDistance(t *testing.T) {
-	base := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{100, 100}, device.Xavier, device.Nano), nil)
+	base := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{100, 100}, device.Xavier, device.Nano), nil, "")
 	if d := Distance(base, base); d != 0 {
 		t.Fatalf("self distance %v", d)
 	}
-	otherModel := SignatureOf(sigEnv(cnn.YOLOv2(), 1, []float64{100, 100}, device.Xavier, device.Nano), nil)
+	otherModel := SignatureOf(sigEnv(cnn.YOLOv2(), 1, []float64{100, 100}, device.Xavier, device.Nano), nil, "")
 	if d := Distance(base, otherModel); !math.IsInf(d, 1) {
 		t.Fatalf("cross-model distance %v, want +Inf", d)
 	}
-	otherObj := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{100, 100}, device.Xavier, device.Nano), sim.ThroughputObjective{})
+	otherObj := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{100, 100}, device.Xavier, device.Nano), sim.ThroughputObjective{}, "")
 	if d := Distance(base, otherObj); !math.IsInf(d, 1) {
 		t.Fatalf("cross-objective distance %v, want +Inf", d)
 	}
+	otherParams := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{100, 100}, device.Xavier, device.Nano), nil, "a0.9")
+	if d := Distance(base, otherParams); !math.IsInf(d, 1) {
+		t.Fatalf("cross-params distance %v, want +Inf", d)
+	}
+	if base.Key() == otherParams.Key() {
+		t.Fatalf("planner parameters missing from the key: %s", base.Key())
+	}
 	// One tier up on both links: closer than losing a device.
-	shifted := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{150, 150}, device.Xavier, device.Nano), nil)
+	shifted := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{150, 150}, device.Xavier, device.Nano), nil, "")
 	dShift := Distance(base, shifted)
 	if dShift <= 0 || dShift >= unmatchedPenalty {
 		t.Fatalf("bandwidth-shift distance %v, want in (0, %d)", dShift, unmatchedPenalty)
 	}
-	grown := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{100, 100, 100}, device.Xavier, device.Nano, device.Nano), nil)
+	grown := SignatureOf(sigEnv(cnn.VGG16(), 1, []float64{100, 100, 100}, device.Xavier, device.Nano, device.Nano), nil, "")
 	if d := Distance(base, grown); d < unmatchedPenalty {
 		t.Fatalf("grown-fleet distance %v, want >= %d", d, unmatchedPenalty)
 	}
@@ -214,8 +221,8 @@ func TestWarmSeedShapes(t *testing.T) {
 	m := cnn.VGG16()
 	big := sigEnv(m, 1, []float64{100, 100, 100}, device.Xavier, device.Nano, device.Nano)
 	small := sigEnv(m, 1, []float64{100, 100}, device.Xavier, device.Nano)
-	bigSig := SignatureOf(big, nil)
-	smallSig := SignatureOf(small, nil)
+	bigSig := SignatureOf(big, nil, "")
+	smallSig := SignatureOf(small, nil, "")
 
 	sBig := &strategy.Strategy{Boundaries: strategy.SingleVolume(m)}
 	h := strategy.VolumeHeight(m, sBig.Boundaries, 0)
@@ -247,7 +254,7 @@ func TestWarmSeedShapes(t *testing.T) {
 	}
 	// No order-preserving correspondence: Pi3 never appears in the cached
 	// fleet, so nothing transfers.
-	alien := SignatureOf(sigEnv(m, 1, []float64{100, 100}, device.Pi3, device.Pi3), nil)
+	alien := SignatureOf(sigEnv(m, 1, []float64{100, 100}, device.Pi3, device.Pi3), nil, "")
 	if got := warmSeed(m, alien, bigSig, sBig); got != nil {
 		t.Fatal("warm seed across unrelated fleets should be nil")
 	}

@@ -32,7 +32,7 @@ func TestCachedReplanCutsRecoveryTime(t *testing.T) {
 	run := func() RunStats {
 		t.Helper()
 		opts := recoverOpts()
-		opts.Replan = plancache.CachedReplan(cache, nil, search)
+		opts.Replan = plancache.CachedReplan(cache, nil, "", search)
 		cl, err := Deploy(env, s, opts)
 		if err != nil {
 			t.Fatal(err)
