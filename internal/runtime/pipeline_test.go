@@ -252,3 +252,76 @@ func TestPipelinedThroughputOrderingMatchesSim(t *testing.T) {
 			pipRun.IPS, seqRun.IPS)
 	}
 }
+
+// TestSelfRoutesCompleteWithExactStats runs a plan whose providers keep
+// their own rows across a volume boundary (self-routes). Self-routed chunks
+// carry no payload and bypass the wire, so every image must still complete
+// and each provider's counters must show exactly the plan's wire traffic:
+// self-routes counted as neither sent nor received.
+func TestSelfRoutesCompleteWithExactStats(t *testing.T) {
+	env := testEnv(device.Xavier, device.Nano)
+	s := equalStrategy(env, []int{0, 10, 18})
+	opts := fastOpts()
+	plan, err := BuildPlan(env, s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const images = 6
+	want := make([]ProviderStats, len(plan.Providers))
+	selfRoutes := 0
+	for _, dest := range plan.ScatterDest {
+		want[dest].ChunksReceived += images
+	}
+	for i, pp := range plan.Providers {
+		want[i].Index = i
+		want[i].StepsExecuted = images * len(pp.Steps)
+		for _, st := range pp.Steps {
+			for _, r := range st.Routes {
+				switch {
+				case r.Dest == i:
+					selfRoutes++
+				case r.Dest == RequesterID:
+					want[i].ChunksSent += images
+				default:
+					want[i].ChunksSent += images
+					want[r.Dest].ChunksReceived += images
+				}
+			}
+		}
+	}
+	if selfRoutes == 0 {
+		t.Fatal("plan has no self-routes; the test needs a layout that keeps rows on one provider")
+	}
+
+	cl, err := Deploy(env, s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	res, err := cl.RunPipelined(images, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != images {
+		t.Fatalf("completed %d of %d images", res.Completed, images)
+	}
+	// A result's sender counts it just after its Send returns, which can be
+	// after the requester has assembled the image: wait for the counters.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := cl.Stats()
+		match := len(got) == len(want)
+		for i := 0; match && i < len(got); i++ {
+			g := got[i]
+			match = g.Index == want[i].Index && g.StepsExecuted == want[i].StepsExecuted &&
+				g.ChunksSent == want[i].ChunksSent && g.ChunksReceived == want[i].ChunksReceived
+		}
+		if match {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("provider stats = %+v, want counts %+v", got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

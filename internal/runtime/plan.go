@@ -20,6 +20,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"distredge/internal/cnn"
@@ -36,9 +37,11 @@ const RequesterID = -1
 // behaviour.
 type Options struct {
 	// TimeScale multiplies emulated compute sleeps (1.0 = model latency;
-	// tests use small values).
+	// tests use small values). 0 means 1; BuildPlan rejects negative,
+	// NaN and infinite scales.
 	TimeScale float64
 	// BytesScale multiplies payload sizes (1.0 = real activation bytes).
+	// 0 means 1; BuildPlan rejects negative, NaN and infinite scales.
 	BytesScale float64
 	// Timeout bounds how long the requester waits for any single image
 	// before failing the run (default 30s). Cluster-level errors — dead
@@ -191,6 +194,14 @@ func (p *Plan) maxChunkBytes() int {
 // the model (for geometry) and device profiles (for emulated compute).
 func BuildPlan(env *sim.Env, strat *strategy.Strategy, opts Options) (*Plan, error) {
 	opts = opts.withDefaults()
+	for _, f := range []struct {
+		name  string
+		scale float64
+	}{{"TimeScale", opts.TimeScale}, {"BytesScale", opts.BytesScale}} {
+		if !(f.scale > 0) || math.IsInf(f.scale, 1) {
+			return nil, fmt.Errorf("runtime: Options.%s = %g, want a positive finite scale (0 means 1)", f.name, f.scale)
+		}
+	}
 	n := env.NumProviders()
 	if err := strat.Validate(env.Model, n); err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)

@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"distredge/internal/cnn"
@@ -126,6 +128,44 @@ func TestBuildPlanRejectsInvalid(t *testing.T) {
 	bad := &strategy.Strategy{Boundaries: []int{0, 5}}
 	if _, err := BuildPlan(env, bad, fastOpts()); err == nil {
 		t.Fatal("invalid strategy must be rejected")
+	}
+}
+
+// TestBuildPlanValidation: negative, NaN and infinite emulation scales are
+// rejected rather than silently shipping 1-byte payloads or skipping every
+// compute sleep; 0 still means the default scale of 1.
+func TestBuildPlanValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	env := testEnv(device.Nano, device.Nano)
+	s := equalStrategy(env, []int{0, 18})
+	cases := []struct {
+		name string
+		opts Options
+		want string // error substring; "" means the plan must build
+	}{
+		{"default scales", Options{}, ""},
+		{"nan time scale", Options{TimeScale: nan}, "TimeScale"},
+		{"inf time scale", Options{TimeScale: inf}, "TimeScale"},
+		{"-inf time scale", Options{TimeScale: -inf}, "TimeScale"},
+		{"negative time scale", Options{TimeScale: -1}, "TimeScale"},
+		{"nan bytes scale", Options{BytesScale: nan}, "BytesScale"},
+		{"inf bytes scale", Options{BytesScale: inf}, "BytesScale"},
+		{"-inf bytes scale", Options{BytesScale: -inf}, "BytesScale"},
+		{"negative bytes scale", Options{BytesScale: -1}, "BytesScale"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := BuildPlan(env, s, c.opts)
+			if c.want == "" {
+				if err != nil {
+					t.Fatalf("err = %v, want a plan", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("err = %v, want substring %q", err, c.want)
+			}
+		})
 	}
 }
 
