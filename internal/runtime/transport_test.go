@@ -58,7 +58,7 @@ func TestTransportCompletionEquivalence(t *testing.T) {
 		}
 		return st
 	}
-	tcpStats := run("tcp", transport.NewTCP(nil))
+	tcpStats := run("tcp", transport.NewTCPOpts(transport.TCPConfig{}))
 	inpStats := run("inproc", transport.NewInproc())
 
 	t.Logf("kill@%s  tcp: completed=%d requeued=%d quarantined=%v  inproc: completed=%d requeued=%d quarantined=%v",

@@ -8,12 +8,12 @@ import (
 
 // BenchmarkChunkCodec measures encode+decode of one data chunk through a
 // stateful stream for each codec and payload size — the hot path every
-// activation row crosses on socket transports. The binary codec must beat
-// gob in both ns/op and allocs/op, and the quant encoders must not
-// allocate in steady state (BENCH_baseline.json records the snapshot).
+// activation row crosses on socket transports. The quant encoders must not
+// allocate in steady state (BENCH_baseline.json records a historical
+// snapshot).
 func BenchmarkChunkCodec(b *testing.B) {
 	codecs := []Codec{
-		Gob(), Binary(), Deflate(),
+		Binary(), Deflate(),
 		Quant(QuantInt8, nil), Quant(QuantFP16, nil), Quant(QuantInt8, Deflate()),
 	}
 	for _, codec := range codecs {
@@ -21,7 +21,7 @@ func BenchmarkChunkCodec(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%dKiB", codec.Name(), payload>>10), func(b *testing.B) {
 				var buf bytes.Buffer
 				enc := codec.NewEncoder(&buf)
-				dec := codec.NewDecoder(&buf)
+				dec := codec.NewDecoder(&buf, nil)
 				msg := testMessage(payload)
 				var out Message
 				b.SetBytes(int64(payload))
@@ -57,7 +57,7 @@ func BenchmarkDeflateConnChurn(b *testing.B) {
 		if err := codec.NewEncoder(&buf).Encode(&msg); err != nil {
 			b.Fatal(err)
 		}
-		if err := codec.NewDecoder(&buf).Decode(&out); err != nil {
+		if err := codec.NewDecoder(&buf, nil).Decode(&out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -118,11 +118,11 @@ func BenchmarkInprocRoundtrip(b *testing.B) {
 }
 
 // BenchmarkTCPRoundtrip measures the same send+recv pair over a real
-// localhost socket with each codec, so the inproc and codec numbers have a
-// socket baseline to compare against. The binary+pool variant cycles
-// payloads through the transport's pool (one GetPayload per send, one
-// PutPayload per receive) — the serving-path pattern — and must show the
-// per-chunk allocation disappearing.
+// localhost socket, so the inproc and codec numbers have a socket baseline
+// to compare against. The binary+pool variant cycles payloads through the
+// transport's pool (one GetPayload per send, one PutPayload per receive) —
+// the serving-path pattern — and must show the per-chunk allocation
+// disappearing.
 func BenchmarkTCPRoundtrip(b *testing.B) {
 	const payload = 64 << 10
 	run := func(b *testing.B, tr Transport, next func() []byte, recycle func([]byte)) {
@@ -159,13 +159,11 @@ func BenchmarkTCPRoundtrip(b *testing.B) {
 		}
 	}
 	fixed := testMessage(payload).Payload
-	for _, codec := range []Codec{Gob(), Binary()} {
-		b.Run(codec.Name(), func(b *testing.B) {
-			run(b, NewTCP(codec),
-				func() []byte { return fixed },
-				func([]byte) {})
-		})
-	}
+	b.Run("binary", func(b *testing.B) {
+		run(b, NewTCPOpts(TCPConfig{}),
+			func() []byte { return fixed },
+			func([]byte) {})
+	})
 	b.Run("binary+pool", func(b *testing.B) {
 		tr := NewPooledTCP(nil, nil)
 		pp := tr.(PayloadPool)
@@ -182,7 +180,7 @@ func BenchmarkTCPRoundtrip(b *testing.B) {
 	// split payload writes. The delta against the plain "binary" row above
 	// is what SetBufferHint buys on the serving path.
 	b.Run("binary+hint", func(b *testing.B) {
-		tr := NewTCP(nil)
+		tr := NewTCPOpts(TCPConfig{})
 		SetBufferHint(tr, payload)
 		run(b, tr,
 			func() []byte { return fixed },
@@ -212,7 +210,8 @@ func BenchmarkHotPath(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				pool := NewPool()
-				tr := NewTCPOpts(TCPConfig{SyncFlush: mode.sync, BufferBytes: 128 << 10, Pool: pool})
+				tr := NewTCPOpts(TCPConfig{SyncFlush: mode.sync, Pool: pool})
+				SetBufferHint(tr, 128<<10-chunkHeaderLen)
 				ln, err := tr.Listen(0)
 				if err != nil {
 					b.Fatal(err)

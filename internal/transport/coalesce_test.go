@@ -61,7 +61,7 @@ func sendSideConn(t *testing.T, cfg TCPConfig) (*tcpConn, *writeCountConn) {
 // decodeAll decodes every frame in the captured wire bytes.
 func decodeAll(t *testing.T, wire []byte) []Message {
 	t.Helper()
-	dec := Binary().NewDecoder(bytes.NewReader(wire))
+	dec := Binary().NewDecoder(bytes.NewReader(wire), nil)
 	var out []Message
 	for {
 		var m Message
@@ -118,7 +118,10 @@ func TestSendBufferedCoalescesWrites(t *testing.T) {
 // the wire indefinitely: once coalesceFlushBytes accumulate, the buffered
 // path flushes on its own.
 func TestSendBufferedSpillsAtByteThreshold(t *testing.T) {
-	conn, fake := sendSideConn(t, TCPConfig{BufferBytes: 4 * coalesceFlushBytes})
+	tr := NewTCPOpts(TCPConfig{}).(*tcpTransport)
+	tr.SetBufferHint(4*coalesceFlushBytes - chunkHeaderLen)
+	fake := &writeCountConn{}
+	conn := newTCPConn(fake, tr)
 	msg := testMessage(8 << 10)
 	sent := 0
 	for fake.writeCount() == 0 {
@@ -256,7 +259,7 @@ func TestCoalescerFallsBackToPlainSend(t *testing.T) {
 	}
 }
 
-// TestBufferHintSizesConns checks SetBufferHint resolution order and
+// TestBufferHintSizesConns checks SetBufferHint's default, sizing and
 // clamping, and that the decorators forward the hint to the inner tcp
 // transport.
 func TestBufferHintSizesConns(t *testing.T) {
@@ -275,12 +278,6 @@ func TestBufferHintSizesConns(t *testing.T) {
 	tr.SetBufferHint(64 << 20) // giant chunk: clamp down
 	if got := tr.bufBytes(); got != maxBufferBytes {
 		t.Fatalf("giant hint gave %d, want clamp %d", got, maxBufferBytes)
-	}
-
-	explicit := NewTCPOpts(TCPConfig{BufferBytes: 12345}).(*tcpTransport)
-	explicit.SetBufferHint(256 << 10)
-	if got := explicit.bufBytes(); got != 12345 {
-		t.Fatalf("explicit BufferBytes lost to hint: %d", got)
 	}
 
 	// Decorators forward to the inner transport.
@@ -317,7 +314,8 @@ func TestSizedBufferSingleWritePerChunk(t *testing.T) {
 	}
 
 	// Counter-check: a buffer smaller than the chunk necessarily splits.
-	small := NewTCPOpts(TCPConfig{BufferBytes: 4 << 10}).(*tcpTransport)
+	small := NewTCPOpts(TCPConfig{}).(*tcpTransport)
+	small.SetBufferHint(1) // clamps up to minBufferBytes, 4 KiB
 	fakeSmall := &writeCountConn{}
 	connSmall := newTCPConn(fakeSmall, small)
 	if err := connSmall.Send(testMessage(chunk)); err != nil {

@@ -1,21 +1,20 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 )
 
 // Codec turns a byte stream into a Message stream. Encoders and decoders
-// are stateful per connection (gob in particular interleaves type
-// descriptors into the stream), so a Codec is a factory: each connection
-// gets its own encoder/decoder pair over its own stream.
+// may carry per-connection scratch state, so a Codec is a factory: each
+// connection gets its own encoder/decoder pair over its own stream.
 type Codec interface {
 	Name() string
 	NewEncoder(w io.Writer) Encoder
-	NewDecoder(r io.Reader) Decoder
+	// NewDecoder returns a decoder that draws payload buffers from pool
+	// (nil = allocate per message).
+	NewDecoder(r io.Reader, pool *Pool) Decoder
 }
 
 // Encoder writes messages to one stream. Callers serialise access.
@@ -28,60 +27,33 @@ type Decoder interface {
 	Decode(m *Message) error
 }
 
-// pooledCodec is implemented by codecs whose decoders can draw payload
-// buffers from a transport's payload pool instead of allocating per
-// message. Gob stays outside: its decoder allocates internally.
-type pooledCodec interface {
-	NewPooledDecoder(r io.Reader, pool *Pool) Decoder
-}
-
 // ---------------------------------------------------------------------------
-// Gob: the legacy wire format — one gob stream per connection, every
-// message (data and control alike) gob-encoded. Retained as the
-// compatibility codec and as the benchmark baseline.
-
-type gobCodec struct{}
-
-// Gob returns the gob stream codec (the pre-transport wire format).
-func Gob() Codec { return gobCodec{} }
-
-func (gobCodec) Name() string                   { return "gob" }
-func (gobCodec) NewEncoder(w io.Writer) Encoder { return gobEncoder{enc: gob.NewEncoder(w)} }
-func (gobCodec) NewDecoder(r io.Reader) Decoder { return gobDecoder{dec: gob.NewDecoder(r)} }
-
-type gobEncoder struct{ enc *gob.Encoder }
-
-func (e gobEncoder) Encode(m *Message) error { return e.enc.Encode(m) }
-
-type gobDecoder struct{ dec *gob.Decoder }
-
-func (d gobDecoder) Decode(m *Message) error { return d.dec.Decode(m) }
-
-// ---------------------------------------------------------------------------
-// Binary: the hot-path chunk format. Data chunks — the float32 row payloads
-// that dominate wire traffic — travel as a fixed 21-byte little-endian
-// header (image, volume, lo, hi, payload length) followed by the raw
-// payload, so encoding is two buffered writes and decoding is two
-// io.ReadFulls with zero reflection. Control messages (Volume < -1:
-// heartbeats and future verbs) stay on gob inside a length-prefixed frame,
-// keeping them free to grow fields the fixed header cannot carry. A one-byte
-// tag distinguishes the two frame kinds.
+// Binary: the one TCP framing. Every message travels as a fixed 21-byte
+// little-endian header (tag, image, volume, lo, hi, payload length)
+// followed by the raw payload, so encoding is two buffered writes and
+// decoding is two io.ReadFulls with zero reflection. Control messages
+// (Volume < VolInput: heartbeats) use the same header; see sentinels.go
+// for how a beat fills its fields.
 
 const (
-	tagChunk   = 0x01
-	tagControl = 0x02
+	tagChunk = 0x01
 
 	chunkHeaderLen = 1 + 4 + 4 + 4 + 4 + 4 // tag + image + volume + lo + hi + len
 
-	// maxFrame bounds a decoded payload or control frame so a corrupt
-	// stream cannot request an absurd allocation.
+	// maxFrame bounds a decoded payload so a corrupt stream cannot request
+	// an absurd allocation.
 	maxFrame = 1 << 30
+
+	// readStep is the most a decoder allocates for a payload before its
+	// bytes arrive. Larger payloads are read into a buffer that doubles as
+	// they stream in, so a corrupt length field costs at most twice the
+	// bytes actually on the wire, not maxFrame.
+	readStep = 1 << 20
 )
 
 type binaryCodec struct{}
 
-// Binary returns the length-prefixed binary chunk codec with gob fallback
-// for control messages.
+// Binary returns the length-prefixed binary chunk codec.
 func Binary() Codec { return binaryCodec{} }
 
 func (binaryCodec) Name() string { return "binary" }
@@ -90,38 +62,16 @@ func (binaryCodec) NewEncoder(w io.Writer) Encoder {
 	return &binaryEncoder{w: w}
 }
 
-func (binaryCodec) NewDecoder(r io.Reader) Decoder {
-	return &binaryDecoder{r: r}
-}
-
-func (binaryCodec) NewPooledDecoder(r io.Reader, pool *Pool) Decoder {
+func (binaryCodec) NewDecoder(r io.Reader, pool *Pool) Decoder {
 	return &binaryDecoder{r: r, pool: pool}
 }
 
 type binaryEncoder struct {
-	w    io.Writer
-	hdr  [chunkHeaderLen]byte
-	ctrl bytes.Buffer
+	w   io.Writer
+	hdr [chunkHeaderLen]byte
 }
 
 func (e *binaryEncoder) Encode(m *Message) error {
-	if m.control() {
-		// Control path: gob the whole message into a tagged,
-		// length-prefixed frame. A fresh gob encoder per frame keeps the
-		// frame self-describing (no cross-frame stream state); control
-		// traffic is a few beats per second, so the cost is irrelevant.
-		e.ctrl.Reset()
-		if err := gob.NewEncoder(&e.ctrl).Encode(m); err != nil {
-			return err
-		}
-		e.hdr[0] = tagControl
-		binary.LittleEndian.PutUint32(e.hdr[1:5], uint32(e.ctrl.Len()))
-		if _, err := e.w.Write(e.hdr[:5]); err != nil {
-			return err
-		}
-		_, err := e.w.Write(e.ctrl.Bytes())
-		return err
-	}
 	e.hdr[0] = tagChunk
 	binary.LittleEndian.PutUint32(e.hdr[1:5], m.Image)
 	binary.LittleEndian.PutUint32(e.hdr[5:9], uint32(m.Volume))
@@ -148,47 +98,43 @@ func (d *binaryDecoder) Decode(m *Message) error {
 	if _, err := io.ReadFull(d.r, d.hdr[:1]); err != nil {
 		return err
 	}
-	switch d.hdr[0] {
-	case tagControl:
-		if _, err := io.ReadFull(d.r, d.hdr[1:5]); err != nil {
-			return err
-		}
-		n := binary.LittleEndian.Uint32(d.hdr[1:5])
-		if n > maxFrame {
-			return fmt.Errorf("transport: control frame of %d bytes exceeds limit", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(d.r, buf); err != nil {
-			return err
-		}
-		return gob.NewDecoder(bytes.NewReader(buf)).Decode(m)
-	case tagChunk:
-		if _, err := io.ReadFull(d.r, d.hdr[1:]); err != nil {
-			return err
-		}
-		m.Image = binary.LittleEndian.Uint32(d.hdr[1:5])
-		m.Volume = int32(binary.LittleEndian.Uint32(d.hdr[5:9]))
-		m.Lo = int32(binary.LittleEndian.Uint32(d.hdr[9:13]))
-		m.Hi = int32(binary.LittleEndian.Uint32(d.hdr[13:17]))
-		n := binary.LittleEndian.Uint32(d.hdr[17:21])
-		if n > maxFrame {
-			return fmt.Errorf("transport: chunk payload of %d bytes exceeds limit", n)
-		}
-		if n == 0 {
-			m.Payload = nil
-			return nil
-		}
-		switch {
-		case uint32(cap(m.Payload)) >= n:
-			m.Payload = m.Payload[:n]
-		case d.pool != nil:
-			m.Payload = d.pool.Get(int(n))
-		default:
-			m.Payload = make([]byte, n)
-		}
+	if d.hdr[0] != tagChunk {
+		return fmt.Errorf("transport: unknown frame tag 0x%02x", d.hdr[0])
+	}
+	if _, err := io.ReadFull(d.r, d.hdr[1:]); err != nil {
+		return err
+	}
+	m.Image = binary.LittleEndian.Uint32(d.hdr[1:5])
+	m.Volume = int32(binary.LittleEndian.Uint32(d.hdr[5:9]))
+	m.Lo = int32(binary.LittleEndian.Uint32(d.hdr[9:13]))
+	m.Hi = int32(binary.LittleEndian.Uint32(d.hdr[13:17]))
+	n := int(binary.LittleEndian.Uint32(d.hdr[17:21]))
+	if n > maxFrame {
+		return fmt.Errorf("transport: chunk payload of %d bytes exceeds limit", n)
+	}
+	if n == 0 {
+		m.Payload = nil
+		return nil
+	}
+	if cap(m.Payload) >= n {
+		m.Payload = m.Payload[:n]
 		_, err := io.ReadFull(d.r, m.Payload)
 		return err
-	default:
-		return fmt.Errorf("transport: unknown frame tag 0x%02x", d.hdr[0])
+	}
+	buf := d.pool.Get(min(n, readStep))
+	have := 0
+	for {
+		if _, err := io.ReadFull(d.r, buf[have:]); err != nil {
+			return err
+		}
+		if len(buf) == n {
+			m.Payload = buf
+			return nil
+		}
+		have = len(buf)
+		next := d.pool.Get(min(n, 2*have))
+		copy(next, buf)
+		d.pool.Put(buf)
+		buf = next
 	}
 }

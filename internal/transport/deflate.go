@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"compress/flate"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -13,7 +14,7 @@ import (
 // behind the existing binary framing: the compressed bytes travel as an
 // ordinary binary chunk frame (the header's length field carries the
 // compressed size), so the wire format needs no new frame kind and
-// control messages pass through the gob path untouched. Activation rows
+// control messages pass through uncompressed. Activation rows
 // are float32 and compress well; on low-bandwidth shaped links the CPU
 // spent here buys back wire seconds — see DESIGN.md for when the trade
 // wins. The flate level is BestSpeed: the codec sits on the serving hot
@@ -71,18 +72,8 @@ func (c deflateCodec) NewEncoder(w io.Writer) Encoder {
 	return &deflateEncoder{inner: c.inner.NewEncoder(w), stats: c.stats}
 }
 
-func (c deflateCodec) NewDecoder(r io.Reader) Decoder {
-	return &deflateDecoder{inner: c.inner.NewDecoder(r)}
-}
-
-func (c deflateCodec) NewPooledDecoder(r io.Reader, pool *Pool) Decoder {
-	var inner Decoder
-	if pc, ok := c.inner.(pooledCodec); ok {
-		inner = pc.NewPooledDecoder(r, pool)
-	} else {
-		inner = c.inner.NewDecoder(r)
-	}
-	return &deflateDecoder{inner: inner, pool: pool}
+func (c deflateCodec) NewDecoder(r io.Reader, pool *Pool) Decoder {
+	return &deflateDecoder{inner: c.inner.NewDecoder(r, pool), pool: pool}
 }
 
 // flateWriters / flateReaders share compressor and decompressor state
@@ -149,6 +140,7 @@ func (e *deflateEncoder) Encode(m *Message) error {
 type deflateDecoder struct {
 	inner Decoder
 	br    bytes.Reader
+	lim   boundedReader
 	out   bytes.Buffer
 	pool  *Pool
 }
@@ -161,16 +153,9 @@ func (d *deflateDecoder) Decode(m *Message) error {
 		return nil
 	}
 	compressed := m.Payload
-	d.br.Reset(compressed)
-	fr, err := getFlateReader(&d.br)
-	if err != nil {
+	if err := d.inflate(compressed, maxFrame); err != nil {
 		return err
 	}
-	d.out.Reset()
-	if _, err := d.out.ReadFrom(fr); err != nil {
-		return fmt.Errorf("transport: deflate payload: %w", err)
-	}
-	putFlateReader(fr)
 	buf := d.pool.Get(d.out.Len())
 	copy(buf, d.out.Bytes())
 	m.Payload = buf
@@ -178,4 +163,44 @@ func (d *deflateDecoder) Decode(m *Message) error {
 	// pooled; it is dead now that the payload is inflated.
 	d.pool.Put(compressed)
 	return nil
+}
+
+// inflate decompresses compressed into d.out, failing once the output
+// would pass limit bytes: a small frame must not inflate without bound.
+func (d *deflateDecoder) inflate(compressed []byte, limit int) error {
+	d.br.Reset(compressed)
+	fr, err := getFlateReader(&d.br)
+	if err != nil {
+		return err
+	}
+	defer putFlateReader(fr)
+	d.out.Reset()
+	d.lim = boundedReader{r: fr, left: limit}
+	if _, err := d.out.ReadFrom(&d.lim); err != nil {
+		return fmt.Errorf("transport: deflate payload: %w", err)
+	}
+	return nil
+}
+
+// errInflateLimit reports a deflate payload that inflates past its limit.
+var errInflateLimit = errors.New("inflates past its limit")
+
+// boundedReader reads r until it has yielded left bytes, then fails with
+// errInflateLimit instead of reporting the end of the stream as
+// io.LimitReader would, so a payload that inflates past the limit is an
+// error, never a truncation.
+type boundedReader struct {
+	r    io.Reader
+	left int
+}
+
+func (b *boundedReader) Read(p []byte) (int, error) {
+	if len(p) > b.left {
+		p = p[:b.left+1]
+	}
+	n, err := b.r.Read(p)
+	if b.left -= n; b.left < 0 {
+		return n, errInflateLimit
+	}
+	return n, err
 }

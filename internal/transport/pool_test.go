@@ -2,36 +2,59 @@ package transport
 
 import (
 	"bytes"
+	"errors"
+	"math/bits"
 	"testing"
 )
 
-// TestPoolSizeClasses pins the bucket arithmetic: a Get after a Put of the
-// same size class reuses the buffer, and a buffer never shrinks below the
-// requested length.
+// TestPoolSizeClasses pins the bucket arithmetic: Get(n) allocates
+// capacity 1<<k for the smallest k with n <= 1<<k, Put files a buffer under
+// the largest power of two its capacity covers, and a nil pool allocates.
+// The race detector makes sync.Pool drop Puts at random, so under -race a
+// Put may vanish, but it must never land in the wrong bucket.
 func TestPoolSizeClasses(t *testing.T) {
 	p := NewPool()
-	b := p.Get(1000)
-	if len(b) != 1000 || cap(b) < 1000 {
-		t.Fatalf("Get(1000): len=%d cap=%d", len(b), cap(b))
+	for _, n := range []int{1, 2, 3, 900, 1000, 1024, 1025, 64 << 10} {
+		b := p.Get(n)
+		if want := 1 << bits.Len(uint(n-1)); len(b) != n || cap(b) != want {
+			t.Errorf("Get(%d): len=%d cap=%d, want cap %d", n, len(b), cap(b), want)
+		}
 	}
-	p.Put(b)
-	b2 := p.Get(900) // same power-of-two class as 1000
-	if len(b2) != 900 {
-		t.Fatalf("Get(900): len=%d", len(b2))
+	for _, c := range []int{1, 1000, 1024, 1500, 2047} {
+		p.Put(make([]byte, 0, c))
+		want := bits.Len(uint(c)) - 1
+		found := -1
+		for k := range p.buckets {
+			if v := p.buckets[k].Get(); v != nil {
+				if found >= 0 || cap(v.([]byte)) != c {
+					t.Fatalf("Put(cap %d) left buckets holding extra buffers", c)
+				}
+				found = k
+			}
+		}
+		if found != want && (found >= 0 || !raceEnabled) {
+			t.Errorf("Put(cap %d) filed in bucket %d, want %d", c, found, want)
+		}
 	}
-	//distlint:allow payloadown -- this test pins that Put feeds the next same-class Get; comparing base pointers is the point
-	if &b[0] != &b2[0] {
-		t.Error("same-class Get after Put did not reuse the buffer")
+	if !raceEnabled {
+		b := p.Get(1000)
+		p.Put(b)
+		b2 := p.Get(900) // same power-of-two class as 1000
+		//distlint:allow payloadown -- this test pins that Put feeds the next same-class Get; comparing base pointers is the point
+		if &b[0] != &b2[0] {
+			t.Error("same-class Get after Put did not reuse the buffer")
+		}
 	}
 	if got := p.Get(0); got != nil {
 		t.Errorf("Get(0) = %v, want nil", got)
 	}
-	p.Put(nil) // must not panic
+	p.Put(nil)             // must not panic
+	p.Put(make([]byte, 0)) // zero capacity: ignored
 	var nilPool *Pool
 	if b := nilPool.Get(8); len(b) != 8 {
 		t.Errorf("nil pool Get(8): len=%d", len(b))
 	}
-	nilPool.Put(b2) // must not panic
+	nilPool.Put(make([]byte, 8)) // must not panic
 }
 
 // TestPooledTCPRoundtripContent streams messages of interleaved sizes and
@@ -141,13 +164,13 @@ func TestPooledInprocReusesBuffer(t *testing.T) {
 
 // TestDeflateCodecRoundtrip checks content fidelity through the
 // compressing codec: data chunks (compressible and empty), control
-// messages on the gob path, and a multi-message stream through one
+// messages, and a multi-message stream through one
 // stateful encoder/decoder pair.
 func TestDeflateCodecRoundtrip(t *testing.T) {
 	codec := Deflate()
 	var buf bytes.Buffer
 	enc := codec.NewEncoder(&buf)
-	dec := codec.NewDecoder(&buf)
+	dec := codec.NewDecoder(&buf, nil)
 	msgs := []Message{
 		testMessage(1024),
 		testMessage(0),
@@ -197,8 +220,27 @@ func TestDeflateCorruptPayloadErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out Message
-	if err := Deflate().NewDecoder(&buf).Decode(&out); err == nil {
+	if err := Deflate().NewDecoder(&buf, nil).Decode(&out); err == nil {
 		t.Error("decoding a non-deflate payload must error")
+	}
+}
+
+// TestDeflateInflateLimit checks the inflate step stops at its output
+// limit: the decoder passes maxFrame, so no frame inflates without bound.
+func TestDeflateInflateLimit(t *testing.T) {
+	m := testMessage(4096)
+	var enc deflateEncoder
+	enc.inner = Binary().NewEncoder(new(bytes.Buffer))
+	if err := enc.Encode(&m); err != nil {
+		t.Fatal(err)
+	}
+	compressed := enc.buf.Bytes()
+	var d deflateDecoder
+	if err := d.inflate(compressed, 4095); !errors.Is(err, errInflateLimit) {
+		t.Errorf("inflate past a 4095-byte limit: %v", err)
+	}
+	if err := d.inflate(compressed, 4096); err != nil || !bytes.Equal(d.out.Bytes(), m.Payload) {
+		t.Errorf("inflate at the limit: %v (%d bytes)", err, d.out.Len())
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 const (
-	// defaultBufferBytes sizes a conn's bufio reader/writer when no explicit
-	// size and no buffer hint was given. 32 KiB covers the typical activation
-	// chunk of the evaluation models; SetBufferHint overrides it per
-	// deployment so the largest planned chunk never splits across writes.
+	// defaultBufferBytes sizes a conn's bufio reader/writer when no buffer
+	// hint was given. 32 KiB covers the typical activation chunk of the
+	// evaluation models; SetBufferHint overrides it per deployment so the
+	// largest planned chunk never splits across writes.
 	defaultBufferBytes = 32 << 10
 
 	// minBufferBytes / maxBufferBytes clamp hint-derived buffer sizes: a
@@ -28,7 +28,7 @@ const (
 )
 
 // TCPConfig parameterises the localhost TCP transport beyond the common
-// NewTCP/NewPooledTCP constructors.
+// NewPooledTCP constructor.
 type TCPConfig struct {
 	Codec Codec // nil = Binary
 	Pool  *Pool // nil = no payload pooling
@@ -39,11 +39,6 @@ type TCPConfig struct {
 	// flush policy (ParseTransport "tcp+sync", the -fig hotpath baseline
 	// rows), not as a serving configuration.
 	SyncFlush bool
-
-	// BufferBytes sizes each conn's bufio reader and writer. 0 defers to
-	// the deployment's SetBufferHint (and defaultBufferBytes before any
-	// hint arrives).
-	BufferBytes int
 }
 
 // tcpTransport carries messages over localhost TCP sockets — the original
@@ -51,20 +46,12 @@ type TCPConfig struct {
 // made pluggable, an optional payload pool (nil = plain allocation), and
 // adaptive flush coalescing on the buffered send path.
 type tcpTransport struct {
-	codec Codec
-	pool  *Pool
-	cfg   TCPConfig
-	hint  atomic.Int64 // SetBufferHint: max chunk bytes of the deployment
+	cfg  TCPConfig
+	hint atomic.Int64 // SetBufferHint: max chunk bytes of the deployment
 }
 
-// NewTCP returns the localhost TCP transport using the given codec
-// (nil = Binary, the length-prefixed chunk codec; use Gob for the legacy
-// wire format). No payload pooling; see NewPooledTCP.
-func NewTCP(codec Codec) Transport {
-	return NewTCPOpts(TCPConfig{Codec: codec})
-}
-
-// NewPooledTCP is NewTCP with payload pooling: sent data payloads are
+// NewPooledTCP returns the localhost TCP transport using the given codec
+// (nil = Binary) with payload pooling: sent data payloads are
 // recycled once serialised (the socket copy makes them dead the moment
 // the send returns), and received payloads are decoded into pooled buffers
 // the consumer hands back with PutPayload. pool nil allocates a private
@@ -81,42 +68,39 @@ func NewTCPOpts(cfg TCPConfig) Transport {
 	if cfg.Codec == nil {
 		cfg.Codec = Binary()
 	}
-	return &tcpTransport{codec: cfg.Codec, pool: cfg.Pool, cfg: cfg}
+	return &tcpTransport{cfg: cfg}
 }
 
 func (t *tcpTransport) Name() string {
 	if t.cfg.SyncFlush {
-		return "tcp+" + t.codec.Name() + "+sync"
+		return "tcp+" + t.cfg.Codec.Name() + "+sync"
 	}
-	return "tcp+" + t.codec.Name()
+	return "tcp+" + t.cfg.Codec.Name()
 }
 
 // WireCodec exposes the codec frames actually cross the socket in, so a
 // wrapping Shaped transport can charge post-codec bytes (quantized or
 // compressed sizes) instead of raw payload bytes.
-func (t *tcpTransport) WireCodec() Codec { return t.codec }
+func (t *tcpTransport) WireCodec() Codec { return t.cfg.Codec }
 
 // GetPayload / PutPayload implement PayloadPool (plain allocation when the
 // transport was built without a pool).
-func (t *tcpTransport) GetPayload(n int) []byte { return t.pool.Get(n) }
-func (t *tcpTransport) PutPayload(b []byte)     { t.pool.Put(b) }
+func (t *tcpTransport) GetPayload(n int) []byte { return t.cfg.Pool.Get(n) }
+func (t *tcpTransport) PutPayload(b []byte)     { t.cfg.Pool.Put(b) }
 
 // SetBufferHint implements BufferSizer: conns created after the call size
 // their bufio buffers to hold one max-size chunk plus framing, so a full
 // chunk reaches the socket in a single write instead of splitting into
-// buffer-sized partial writes. An explicit TCPConfig.BufferBytes wins.
+// buffer-sized partial writes.
 func (t *tcpTransport) SetBufferHint(maxChunkBytes int) {
 	if maxChunkBytes > 0 {
 		t.hint.Store(int64(maxChunkBytes))
 	}
 }
 
-// bufBytes resolves the conn buffer size: explicit config, then the
-// deployment hint (clamped), then the default.
+// bufBytes resolves the conn buffer size: the deployment hint (clamped),
+// else the default.
 func (t *tcpTransport) bufBytes() int {
-	if t.cfg.BufferBytes > 0 {
-		return t.cfg.BufferBytes
-	}
 	if h := t.hint.Load(); h > 0 {
 		n := int(h) + chunkHeaderLen
 		if n < minBufferBytes {
@@ -218,19 +202,13 @@ func newTCPConn(c net.Conn, t *tcpTransport) *tcpConn {
 	size := t.bufBytes()
 	bw := bufio.NewWriterSize(c, size)
 	br := bufio.NewReaderSize(c, size)
-	var dec Decoder
-	if pc, ok := t.codec.(pooledCodec); ok && t.pool != nil {
-		dec = pc.NewPooledDecoder(br, t.pool)
-	} else {
-		dec = t.codec.NewDecoder(br)
-	}
 	return &tcpConn{
 		c:    c,
-		pool: t.pool,
+		pool: t.cfg.Pool,
 		sync: t.cfg.SyncFlush,
 		bw:   bw,
-		enc:  t.codec.NewEncoder(bw),
-		dec:  dec,
+		enc:  t.cfg.Codec.NewEncoder(bw),
+		dec:  t.cfg.Codec.NewDecoder(br, t.cfg.Pool),
 	}
 }
 

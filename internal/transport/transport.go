@@ -35,10 +35,9 @@ type Message struct {
 	Payload []byte
 }
 
-// control reports whether the message is a control message (heartbeats and
-// future verbs) rather than a data chunk. Codecs keep control messages on
-// the flexible gob path and reserve the fixed binary framing for the hot
-// data path.
+// control reports whether the message is a control message (heartbeats)
+// rather than a data chunk. Codecs frame control messages like chunks but
+// never transform their payloads, and transports never recycle them.
 func (m *Message) control() bool { return m.Volume < VolInput }
 
 // Conn is one directed framed connection. Send is safe for concurrent use;

@@ -2,6 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -26,16 +29,28 @@ func sameMessage(a, b Message) bool {
 		bytes.Equal(a.Payload, b.Payload)
 }
 
-// TestCodecRoundtrip checks both codecs reproduce data chunks, empty
-// payloads and control messages through one stateful stream.
+// integerRows returns n float32 activations holding the integers
+// -127..127, which every codec carries exactly: int8 quantization scales
+// them by 1 and fp16 represents them without rounding.
+func integerRows(n int) []byte {
+	b := make([]byte, 4*n)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(float32(i%255-127)))
+	}
+	return b
+}
+
+// TestCodecRoundtrip checks every codec reproduces data chunks, empty
+// payloads and control messages through one stateful stream, and pins the
+// binary data-chunk frame byte for byte.
 func TestCodecRoundtrip(t *testing.T) {
-	for _, codec := range []Codec{Gob(), Binary()} {
+	for _, codec := range []Codec{Binary(), Quant(QuantInt8, nil), Quant(QuantFP16, Deflate()), Deflate()} {
 		t.Run(codec.Name(), func(t *testing.T) {
 			var buf bytes.Buffer
 			enc := codec.NewEncoder(&buf)
-			dec := codec.NewDecoder(&buf)
+			dec := codec.NewDecoder(&buf, nil)
 			msgs := []Message{
-				testMessage(1024),
+				{Image: 7, Volume: 3, Lo: 10, Hi: 42, Payload: integerRows(256)},
 				testMessage(0),
 				{Image: 2, Volume: VolHeartbeat, Lo: 5}, // heartbeat-shaped control message
 				{Image: 9, Volume: VolInput, Lo: 0, Hi: 3, Payload: []byte{1, 2, 3}},
@@ -54,12 +69,21 @@ func TestCodecRoundtrip(t *testing.T) {
 			}
 		})
 	}
+	var frame bytes.Buffer
+	m := Message{Image: 7, Volume: 3, Lo: 10, Hi: 42, Payload: []byte{1, 2, 3}}
+	if err := Binary().NewEncoder(&frame).Encode(&m); err != nil {
+		t.Fatal(err)
+	}
+	const want = "01" + "07000000" + "03000000" + "0a000000" + "2a000000" + "03000000" + "010203"
+	if got := hex.EncodeToString(frame.Bytes()); got != want {
+		t.Errorf("binary data frame = %s, want %s", got, want)
+	}
 }
 
 // TestBinaryCodecRejectsGarbage checks the binary decoder fails cleanly on
 // an unknown tag instead of misframing the stream.
 func TestBinaryCodecRejectsGarbage(t *testing.T) {
-	dec := Binary().NewDecoder(bytes.NewReader([]byte{0xff, 1, 2, 3}))
+	dec := Binary().NewDecoder(bytes.NewReader([]byte{0xff, 1, 2, 3}), nil)
 	var m Message
 	if err := dec.Decode(&m); err == nil || !strings.Contains(err.Error(), "unknown frame tag") {
 		t.Fatalf("garbage tag decoded: %v", err)
@@ -67,11 +91,10 @@ func TestBinaryCodecRejectsGarbage(t *testing.T) {
 }
 
 // TestTransportRoundtrip exercises listen/dial/send/recv and close
-// semantics uniformly over the tcp (both codecs) and inproc transports.
+// semantics uniformly over the tcp and inproc transports.
 func TestTransportRoundtrip(t *testing.T) {
 	transports := map[string]func() Transport{
-		"tcp+binary": func() Transport { return NewTCP(nil) },
-		"tcp+gob":    func() Transport { return NewTCP(Gob()) },
+		"tcp+binary": func() Transport { return NewTCPOpts(TCPConfig{}) },
 		"inproc":     func() Transport { return NewInproc() },
 	}
 	for name, mk := range transports {
@@ -156,7 +179,7 @@ func TestTransportRoundtrip(t *testing.T) {
 // and fresh dials are refused.
 func TestListenerCloseKillsAcceptedConns(t *testing.T) {
 	for name, mk := range map[string]func() Transport{
-		"tcp":    func() Transport { return NewTCP(nil) },
+		"tcp":    func() Transport { return NewTCPOpts(TCPConfig{}) },
 		"inproc": func() Transport { return NewInproc() },
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -186,7 +186,6 @@ func ParseTenants(spec string) ([]sim.TenantSpec, error) {
 //	tcp+sync         — tcp with per-message flushing (one syscall per chunk;
 //	                   the pre-coalescing wire, kept as the measured baseline
 //	                   for `distbench -fig hotpath`)
-//	tcp+gob          — localhost TCP sockets, legacy gob wire format
 //	tcp+deflate      — tcp with DEFLATE-compressed chunk payloads (worth the
 //	                   CPU on low-bandwidth shaped links; see DESIGN.md)
 //	tcp+quant        — tcp with int8-quantized chunk payloads (4x fewer
@@ -198,8 +197,8 @@ func ParseTenants(spec string) ([]sim.TenantSpec, error) {
 //	                   bytes (the compositions stack back to front)
 //	inproc           — in-process channels, no sockets (fast, race-clean)
 //
-// The serving stacks (everything but tcp+gob) carry a payload pool so
-// chunk buffers are recycled across images. Wrap the result with
+// Every stack carries a payload pool so chunk buffers are recycled across
+// images. Wrap the result with
 // System.ShapedTransport to charge the system's WiFi trace latency to
 // every payload byte (the -trace flag), or ShapedTransportPostCodec to
 // charge the post-codec wire bytes so quantization and compression pay
@@ -210,8 +209,6 @@ func ParseTransport(spec string) (transport.Transport, error) {
 		return transport.NewPooledTCP(nil, nil), nil
 	case "tcp+sync":
 		return transport.NewTCPOpts(transport.TCPConfig{SyncFlush: true, Pool: transport.NewPool()}), nil
-	case "tcp+gob":
-		return transport.NewTCP(transport.Gob()), nil
 	case "tcp+deflate":
 		return transport.NewPooledTCP(transport.Deflate(), nil), nil
 	case "tcp+quant":
@@ -223,7 +220,7 @@ func ParseTransport(spec string) (transport.Transport, error) {
 	case "inproc":
 		return transport.NewPooledInproc(nil), nil
 	default:
-		return nil, fmt.Errorf("distredge: unknown transport %q (want tcp|tcp+sync|tcp+gob|tcp+deflate|tcp+quant|tcp+quant16|tcp+quant+deflate|inproc)", spec)
+		return nil, fmt.Errorf("distredge: unknown transport %q (want tcp|tcp+sync|tcp+deflate|tcp+quant|tcp+quant16|tcp+quant+deflate|inproc)", spec)
 	}
 }
 

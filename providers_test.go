@@ -181,7 +181,6 @@ func TestParseTransport(t *testing.T) {
 		"":                  "tcp+binary",
 		"tcp":               "tcp+binary",
 		"tcp+sync":          "tcp+binary+sync",
-		"tcp+gob":           "tcp+gob",
 		"tcp+deflate":       "tcp+deflate",
 		"tcp+quant":         "tcp+quant8",
 		"tcp+quant16":       "tcp+quant16",
