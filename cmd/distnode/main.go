@@ -199,7 +199,8 @@ func main() {
 
 // serveTenants runs the multi-tenant gateway path: every tenant's backlog
 // is enqueued up front (the burst model the sim mirror sweeps), results are
-// drained, and the per-tenant summary printed.
+// drained, and the per-tenant summary printed. It fails when any request
+// failed for a reason other than its deadline.
 func serveTenants(cluster *runtime.Cluster, tenants []sim.TenantSpec, policy string, window int, sloMS float64) error {
 	cfgs := make([]gateway.TenantConfig, len(tenants))
 	for i, t := range tenants {
@@ -240,10 +241,15 @@ func serveTenants(cluster *runtime.Cluster, tenants []sim.TenantSpec, policy str
 		served, len(results), policy, window, total, ips)
 	fmt.Printf("%-10s %8s %9s %5s %7s %6s %9s %9s %9s\n",
 		"tenant", "enqueued", "completed", "late", "expired", "failed", "lat(ms)", "p95(ms)", "max(ms)")
+	failed := 0 // backend errors; missed deadlines count as Late or Expired
 	for _, s := range g.Summary() {
 		fmt.Printf("%-10s %8d %9d %5d %7d %6d %9.1f %9.1f %9.1f\n",
 			s.Tenant, s.Enqueued, s.Completed, s.Late, s.Expired, s.Failed,
 			s.MeanLatMS, s.P95LatMS, s.MaxLatMS)
+		failed += s.Failed
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d of %d requests failed: %v", failed, len(results), cluster.Err())
 	}
 	return nil
 }

@@ -463,10 +463,10 @@ func RuntimeObjective(cfg PlanConfig) (sim.Objective, error) {
 // internal/runtime). The wire stack is opts.Transport — localhost TCP with
 // the binary chunk codec when nil; see ParseTransport for the named stacks
 // and ShapedTransport for charging this system's WiFi traces to the wire.
-// Close the returned cluster when done. Cluster.Run streams sequentially;
-// Cluster.RunPipelined keeps an admission window of images in flight. With
-// opts.Recover, a provider dying mid-run is quarantined and the strategy
-// re-planned over the survivors instead of failing the run.
+// Close the returned cluster when done. Cluster.Submit admits one image;
+// Cluster.Run and Cluster.RunPipelined are loops over it. With
+// opts.Recover, a provider dying mid-stream is quarantined and the strategy
+// re-planned over the survivors instead of failing any admission path.
 func (s *System) Deploy(p *Plan, opts runtime.Options) (*runtime.Cluster, error) {
 	return runtime.Deploy(s.env, p.Strategy, opts)
 }

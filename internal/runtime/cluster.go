@@ -206,17 +206,18 @@ func (p *Provider) heartbeatLoop() {
 	t := time.NewTicker(p.hb)
 	defer t.Stop()
 	for {
-		_ = p.sendTo(RequesterID, Chunk{
-			Image:  uint32(p.plan.Index),
-			Volume: heartbeatVolume,
-			Lo:     int32(p.epoch),
-		})
+		_ = p.beat()
 		select {
 		case <-p.done:
 			return
 		case <-t.C:
 		}
 	}
+}
+
+// beat sends one heartbeat to the requester over the result link.
+func (p *Provider) beat() error {
+	return p.sendTo(RequesterID, Chunk{Image: uint32(p.plan.Index), Volume: heartbeatVolume, Lo: int32(p.epoch)})
 }
 
 // Addr returns the provider's listen address.
@@ -447,13 +448,18 @@ func (p *Provider) destSender(dest int, w chan outMsg) {
 	}
 }
 
-// reportSendErr reports a send failure to the cluster unless the provider
-// is shutting down (connection teardown is expected then).
+// reportSendErr reports a send failure to the cluster, blaming dest,
+// unless the provider is shutting down (connection teardown is expected
+// then) or cannot reach the requester itself: a partitioned provider's
+// report could not cross its own result link, and its missed heartbeats —
+// not an innocent dest — are what identify it.
 func (p *Provider) reportSendErr(dest int, err error) {
 	select {
 	case <-p.done:
 	default:
-		p.report(dest, fmt.Errorf("runtime: provider %d send to %d: %w", p.plan.Index, dest, err))
+		if p.beat() == nil {
+			p.report(dest, fmt.Errorf("runtime: provider %d send to %d: %w", p.plan.Index, dest, err))
+		}
 	}
 }
 

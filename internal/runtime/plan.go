@@ -6,7 +6,9 @@
 // through an admission window — Run keeps one image in flight (the paper's
 // protocol: an image is not sent until the previous result returns),
 // RunPipelined keeps K in flight so providers overlap different images'
-// steps and the run measures sustained throughput.
+// steps and the run measures sustained throughput. Both are loops over
+// Submit, the one admission path the serving gateway drives too; with
+// Options.Recover the cluster heals it when a provider dies.
 //
 // Compute is emulated: providers sleep for the device model's latency
 // (scaled by Options.TimeScale) instead of running CUDA kernels, and
@@ -43,9 +45,11 @@ type Options struct {
 	// BytesScale multiplies payload sizes (1.0 = real activation bytes).
 	// 0 means 1; BuildPlan rejects negative, NaN and infinite scales.
 	BytesScale float64
-	// Timeout bounds how long the requester waits for any single image
-	// before failing the run (default 30s). Cluster-level errors — dead
-	// peers, failed sends — abort runs immediately, without waiting it out.
+	// Timeout bounds how long the requester waits for one try of an image
+	// (default 30s). With Recover a timed-out image is re-scattered, up to
+	// a fixed number of tries, before its timeout fails the cluster; without
+	// it the first timeout does. Cluster-level errors — dead peers, failed
+	// sends — abort images immediately, without waiting it out.
 	Timeout time.Duration
 
 	// Batch caps per-step image batching on every provider: when a step
@@ -62,10 +66,11 @@ type Options struct {
 	Batch int
 
 	// Recover turns on online churn recovery: when a provider is declared
-	// dead mid-run (missed heartbeats, failed sends), RunPipelined
-	// quarantines it, re-plans the strategy over the survivors, redeploys
-	// them and re-scatters every incomplete image instead of failing the
-	// run. Without it, failure stays sticky (Cluster.Err).
+	// dead (missed heartbeats, failed sends), the cluster quarantines it,
+	// re-plans the strategy over the survivors and redeploys them, and
+	// every Submit — RunPipelined's included — re-scatters its aborted
+	// image instead of failing. Without it, failure stays sticky
+	// (Cluster.Err).
 	Recover bool
 	// HeartbeatInterval is the period at which every provider beats to the
 	// requester over its result link (default 50ms). Negative disables

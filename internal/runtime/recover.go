@@ -5,39 +5,71 @@ import (
 	"time"
 
 	"distredge/internal/splitter"
+	"distredge/internal/strategy"
 	"distredge/internal/transport"
 )
 
-// recover is the churn-recovery procedure RunPipelined invokes between
-// admission batches once a failure surfaced (so no admission or completion
-// waiter is live while the deployment is swapped):
+// supervise is the cluster's recovery owner, started by Deploy under
+// Options.Recover. It waits for each epoch's first failure and runs the
+// recovery procedure exactly once for it while holding sendMu, so no
+// scatter starts while the deployment is swapped. It then settles the
+// epoch: its waiters re-scatter into the new deployment, or — if recovery
+// failed, which ends the supervisor — read the now-terminal error.
+func (c *Cluster) supervise() {
+	for {
+		ep := c.current()
+		select {
+		case <-c.done:
+			return
+		case <-ep.failed:
+		}
+		c.sendMu.Lock()
+		ms, err := c.recover()
+		c.sendMu.Unlock()
+		c.failMu.Lock()
+		c.replanMS += ms
+		if err == nil {
+			c.recoveries++
+		} else {
+			ep.err = fmt.Errorf("runtime: %v; recovery failed: %w", ep.err, err)
+		}
+		c.failMu.Unlock()
+		close(ep.settled)
+		if err != nil {
+			return
+		}
+	}
+}
+
+// recover is the churn-recovery procedure for the failed current epoch.
+// Only supervise calls it, holding sendMu:
 //
 //  1. quarantine — every suspect (the failure's attributed provider plus
 //     anything the health monitor declared dead) leaves the alive mask;
-//  2. drain — results that already arrived stay counted, while the
-//     registrations of incomplete images are dropped and the gc watermark
-//     advances past them (their ids are dead: image ids are monotonic, so
-//     a late chunk from the old deployment can never resurrect them);
+//  2. tear down — the old providers and the requester's links to them
+//     close (image ids are monotonic, so a late chunk from the old
+//     deployment can never resurrect an aborted image);
 //  3. re-plan — Options.Replan (default splitter.ObjectiveReplan for
 //     Options.Objective, i.e. splitter.BalancedReplan under the latency
 //     default) produces a strategy over the survivors, warm-started from
 //     the serving one;
 //  4. redeploy — fresh providers for the survivors under a new epoch, so
 //     stale failure reports and heartbeats from the torn-down deployment
-//     are fenced off, and the failure state is re-armed.
+//     are fenced off.
 //
-// The caller then re-scatters every incomplete image. Returns the
-// wall-clock milliseconds spent (the runtime's time-to-recover cost,
-// comparable to sim.ServeConfig.ReplanSec).
+// The aborted images' Submits then re-scatter them under fresh ids.
+// Returns the wall-clock milliseconds spent (the runtime's time-to-recover
+// cost, comparable to sim.ServeConfig.ReplanSec).
 func (c *Cluster) recover() (float64, error) {
 	t0 := time.Now()
+	ep := c.current()
 
 	// 1. Quarantine the suspects.
 	c.failMu.Lock()
-	cause := c.failErr
+	cause := ep.err
 	suspects := map[int]bool{}
-	if c.failIdx >= 0 {
-		suspects[c.failIdx] = true
+	if ep.suspect >= 0 {
+		suspects[ep.suspect] = true
 	}
 	c.failMu.Unlock()
 	if c.health != nil {
@@ -62,37 +94,20 @@ func (c *Cluster) recover() (float64, error) {
 		// already-handled death: recovery cannot make progress.
 		return 0, fmt.Errorf("runtime: no identifiable dead provider (cause: %v)", cause)
 	}
-	live := 0
-	for _, a := range alive {
-		if a {
-			live++
-		}
-	}
-	if live == 0 {
+	if strategy.CountAlive(alive) == 0 {
 		return 0, fmt.Errorf("runtime: no surviving providers")
 	}
 
-	// 2. Tear down the old deployment and drain the bookkeeping. New image
-	// ids will be allocated for the re-scatters, so stale assembly state
-	// and late chunks from the old epoch are unreachable by construction.
-	for _, p := range oldProvs {
-		if p != nil {
-			p.close()
-		}
-	}
+	// 2. Tear down the old deployment. Each aborted image's Submit drops
+	// its own registration and re-scatters under a fresh id, so stale
+	// assembly state and late chunks from the old epoch are unreachable.
+	closeAll(oldProvs)
 	c.linkMu.Lock()
 	for d, o := range c.links {
 		o.Close()
 		delete(c.links, d)
 	}
 	c.linkMu.Unlock()
-	c.reg.drainAll()
-	// Every id allocated so far is now either delivered or dead — including
-	// ids whose results fully arrived but whose waiter observed the failure
-	// before calling complete() (that race would otherwise wedge the
-	// watermark forever). Advance the cursor past all of them; the
-	// redeployed providers start with no state for it to guard anyway.
-	c.wm.drainThrough(c.nextImg.Load())
 
 	// 3. Re-plan over the survivors, for the objective being served.
 	replan := c.opts.Replan
@@ -111,47 +126,41 @@ func (c *Cluster) recover() (float64, error) {
 	// buffers before their conns are dialled.
 	transport.SetBufferHint(c.tr, plan.maxChunkBytes())
 
-	// 4. Open a new epoch and redeploy the survivors.
-	c.failMu.Lock()
-	c.epoch++
-	epoch := c.epoch
-	c.failed = make(chan struct{})
-	c.failErr = nil
-	c.failIdx = -1
-	c.failMu.Unlock()
-
-	provs := make([]*Provider, len(alive))
-	addrs := map[int]string{RequesterID: c.ln.Addr()}
-	for _, pp := range plan.Providers {
-		if !alive[pp.Index] {
-			continue
-		}
-		p, err := newProvider(pp, epoch, c.opts.HeartbeatInterval, c.opts.Batch, c.providerFailFn(epoch), c.tr)
-		if err != nil {
-			for _, q := range provs {
-				if q != nil {
-					q.close()
-				}
-			}
-			return msSince(t0), fmt.Errorf("runtime: redeploy provider %d: %w", pp.Index, err)
-		}
-		provs[pp.Index] = p
-		addrs[pp.Index] = p.Addr()
-	}
-	for _, p := range provs {
-		if p != nil {
-			p.setPeers(addrs)
-		}
+	// 4. Redeploy the survivors under a new epoch.
+	next := newEpoch(ep.n + 1)
+	provs, err := c.startProviders(plan, alive, next.n)
+	if err != nil {
+		return msSince(t0), fmt.Errorf("runtime: redeploy: %w", err)
 	}
 	c.provMu.Lock()
+	select {
+	case <-c.done:
+		// Close raced the redeploy and tore down only what it saw.
+		c.provMu.Unlock()
+		closeAll(provs)
+		return msSince(t0), fmt.Errorf("runtime: cluster closed during recovery")
+	default:
+	}
 	c.providers = provs
 	c.strat = newStrat
 	c.plan = plan
 	c.provMu.Unlock()
+	c.failMu.Lock()
+	c.ep = next
+	c.failMu.Unlock()
 	if c.health != nil {
-		c.health.arm(epoch, alive)
+		c.health.arm(next.n, alive)
 	}
 	return msSince(t0), nil
+}
+
+// closeAll shuts down every non-nil (not quarantined) provider.
+func closeAll(provs []*Provider) {
+	for _, p := range provs {
+		if p != nil {
+			p.close()
+		}
+	}
 }
 
 func msSince(t0 time.Time) float64 {

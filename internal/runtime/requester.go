@@ -49,19 +49,35 @@ type Cluster struct {
 
 	health *healthMonitor
 
-	// Failure state is epoch-fenced and re-armable: recovery opens a new
-	// epoch with a fresh channel, and reports stamped with an older epoch
-	// (a torn-down provider's dying gasp) are ignored.
-	failMu  sync.Mutex
-	epoch   int           // guarded by failMu
-	failed  chan struct{} // guarded by failMu
-	failErr error         // guarded by failMu
-	failIdx int           // guarded by failMu; suspected dead provider, -1 unknown
+	// Failure state is epoch-fenced: recovery swaps in a fresh epoch, and
+	// reports stamped with an older one (a torn-down provider's dying gasp)
+	// are ignored. The recovery totals feed RunStats as before/after deltas.
+	failMu     sync.Mutex
+	ep         *epoch  // guarded by failMu
+	recoveries int     // guarded by failMu
+	replanMS   float64 // guarded by failMu
+}
+
+// epoch is one deployment's failure record. A waiter captures the epoch it
+// was admitted in, so it reads that epoch's failure — channel and error
+// together — even after recovery has swapped in the next one.
+type epoch struct {
+	n       int
+	failed  chan struct{} // closed at the epoch's first failure
+	settled chan struct{} // with Options.Recover: closed once recovery from that failure finished
+	err     error         // under Cluster.failMu: the first failure, later the terminal error
+	suspect int           // under Cluster.failMu: suspected dead provider, -1 unknown
+}
+
+func newEpoch(n int) *epoch {
+	return &epoch{n: n, failed: make(chan struct{}), settled: make(chan struct{}), suspect: -1}
 }
 
 // Deploy builds the plan for a strategy and starts one provider per device
 // over Options.Transport (default: localhost TCP with the binary chunk
-// codec).
+// codec). With Options.Recover it also starts the cluster's recovery
+// supervisor, which heals every admission path (Submit and RunPipelined
+// alike) after a provider dies.
 func Deploy(env *sim.Env, strat *strategy.Strategy, opts Options) (*Cluster, error) {
 	opts = opts.withDefaults()
 	plan, err := BuildPlan(env, strat, opts)
@@ -70,18 +86,17 @@ func Deploy(env *sim.Env, strat *strategy.Strategy, opts Options) (*Cluster, err
 	}
 	n := env.NumProviders()
 	c := &Cluster{
-		env:     env,
-		opts:    opts,
-		strat:   strat,
-		plan:    plan,
-		alive:   make([]bool, n),
-		reg:     newRegTable(),
-		wm:      newWatermark(),
-		tr:      opts.Transport,
-		links:   make(map[int]transport.Conn),
-		done:    make(chan struct{}),
-		failed:  make(chan struct{}),
-		failIdx: -1,
+		env:   env,
+		opts:  opts,
+		strat: strat,
+		plan:  plan,
+		alive: make([]bool, n),
+		reg:   newRegTable(),
+		wm:    newWatermark(),
+		tr:    opts.Transport,
+		links: make(map[int]transport.Conn),
+		done:  make(chan struct{}),
+		ep:    newEpoch(0),
 	}
 	for i := range c.alive {
 		c.alive[i] = true
@@ -89,26 +104,12 @@ func Deploy(env *sim.Env, strat *strategy.Strategy, opts Options) (*Cluster, err
 	// Size the transport's wire buffers to the largest chunk the plan will
 	// ship, so a full chunk crosses to the socket in one write.
 	transport.SetBufferHint(c.tr, plan.maxChunkBytes())
-	addrs := make(map[int]string)
-	for _, pp := range plan.Providers {
-		p, err := newProvider(pp, 0, opts.HeartbeatInterval, opts.Batch, c.providerFailFn(0), c.tr)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.providers = append(c.providers, p)
-		addrs[pp.Index] = p.Addr()
-	}
-	// Requester result listener.
-	ln, err := c.tr.Listen(RequesterID)
-	if err != nil {
-		c.Close()
+	if c.ln, err = c.tr.Listen(RequesterID); err != nil { // requester result listener
 		return nil, err
 	}
-	c.ln = ln
-	addrs[RequesterID] = ln.Addr()
-	for _, p := range c.providers {
-		p.setPeers(addrs)
+	if c.providers, err = c.startProviders(plan, c.alive, 0); err != nil {
+		c.Close()
+		return nil, err
 	}
 	// The monitor must exist before acceptResults starts routing beats to it.
 	if opts.HeartbeatInterval > 0 {
@@ -116,22 +117,47 @@ func Deploy(env *sim.Env, strat *strategy.Strategy, opts Options) (*Cluster, err
 		c.health.arm(0, c.alive)
 	}
 	go c.acceptResults()
+	if opts.Recover {
+		go c.supervise()
+	}
 	return c, nil
 }
 
-// providerFailFn builds the error sink for providers deployed in the given
-// epoch: reports are dropped once cluster-wide teardown has begun (Close
-// tears providers down one by one, so a not-yet-closed provider's send to
-// an already-closed peer must not record a spurious failure), and
-// failProvider additionally fences off reports from torn-down epochs.
-func (c *Cluster) providerFailFn(epoch int) func(int, error) {
-	return func(suspect int, err error) {
+// startProviders starts a provider for every alive index of the plan,
+// deployed in the given epoch and wired to each other and to the
+// requester. On error it closes the ones it started.
+func (c *Cluster) startProviders(plan *Plan, alive []bool, epoch int) ([]*Provider, error) {
+	// Reports are dropped once cluster-wide teardown has begun (Close tears
+	// providers down one by one, so a not-yet-closed provider's send to an
+	// already-closed peer must not record a spurious failure), and
+	// failProvider fences off reports from torn-down epochs.
+	fail := func(suspect int, err error) {
 		select {
 		case <-c.done:
 		default:
 			c.failProvider(epoch, suspect, err)
 		}
 	}
+	provs := make([]*Provider, len(alive))
+	addrs := map[int]string{RequesterID: c.ln.Addr()}
+	for _, pp := range plan.Providers {
+		if !alive[pp.Index] {
+			continue
+		}
+		p, err := newProvider(pp, epoch, c.opts.HeartbeatInterval, c.opts.Batch, fail, c.tr)
+		if err != nil {
+			closeAll(provs)
+			return nil, fmt.Errorf("runtime: deploy provider %d: %w", pp.Index, err)
+		}
+		provs[pp.Index] = p
+		addrs[pp.Index] = p.Addr()
+	}
+	for _, p := range provs {
+		if p != nil {
+			p.setPeers(addrs)
+		}
+	}
+	return provs, nil
 }
 
 // Addr returns the requester's result listener address.
@@ -146,45 +172,59 @@ func (c *Cluster) Transport() transport.Transport { return c.tr }
 func (c *Cluster) failProvider(epoch, suspect int, err error) {
 	c.failMu.Lock()
 	defer c.failMu.Unlock()
-	if epoch != c.epoch {
+	ep := c.ep
+	if epoch != ep.n {
 		return
 	}
 	select {
-	case <-c.failed:
+	case <-ep.failed:
 	default:
-		c.failErr = err
-		c.failIdx = suspect
-		close(c.failed)
+		ep.err = err
+		ep.suspect = suspect
+		close(ep.failed)
 	}
 }
 
-// failNow records a failure in the current epoch (requester-side callers).
-func (c *Cluster) failNow(suspect int, err error) {
-	c.failMu.Lock()
-	epoch := c.epoch
-	c.failMu.Unlock()
-	c.failProvider(epoch, suspect, err)
-}
-
-// fail records a failure with no suspected provider.
-func (c *Cluster) fail(err error) { c.failNow(-1, err) }
-
-// failedCh returns the current epoch's failure channel.
-func (c *Cluster) failedCh() chan struct{} {
+// current returns the serving epoch.
+func (c *Cluster) current() *epoch {
 	c.failMu.Lock()
 	defer c.failMu.Unlock()
-	return c.failed
+	return c.ep
+}
+
+// settle waits until ep's failure (if any) is resolved. It returns nil when
+// ep never failed or a recovery has since opened a newer epoch; otherwise
+// the failure is terminal — at once without Options.Recover — and settle
+// returns it.
+func (c *Cluster) settle(ep *epoch) error {
+	select {
+	case <-ep.failed:
+	default:
+		return nil
+	}
+	if c.opts.Recover {
+		select {
+		case <-ep.settled:
+		case <-c.done:
+		}
+	}
+	c.failMu.Lock()
+	defer c.failMu.Unlock()
+	if c.ep != ep {
+		return nil
+	}
+	return ep.err
 }
 
 // Err returns the first error the cluster recorded in its current epoch,
 // or nil while healthy. With Options.Recover, a successful recovery opens
-// a new epoch and Err reads nil again; without it, failure is sticky.
+// a new epoch and Err reads nil again; otherwise failure is sticky.
 func (c *Cluster) Err() error {
 	c.failMu.Lock()
 	defer c.failMu.Unlock()
 	select {
-	case <-c.failed:
-		return c.failErr
+	case <-c.ep.failed:
+		return c.ep.err
 	default:
 		return nil
 	}
@@ -219,12 +259,10 @@ func (c *Cluster) acceptResults() {
 	}
 }
 
-// register allocates the next image id and arms its completion tracking.
-func (c *Cluster) register() (uint32, chan struct{}) {
+// register allocates the next image id and arms its completion tracking
+// against the given plan's awaited chunks.
+func (c *Cluster) register(plan *Plan) (uint32, chan struct{}) {
 	done := make(chan struct{})
-	c.provMu.Lock()
-	plan := c.plan // recovery swaps the plan wholesale; snapshot the pointer
-	c.provMu.Unlock()
 	img := c.nextImg.Add(1)
 	m := make(map[chunkKey]bool, len(plan.Await))
 	for _, a := range plan.Await {
@@ -234,12 +272,12 @@ func (c *Cluster) register() (uint32, chan struct{}) {
 	return img, done
 }
 
-// dropRegistration unwinds a registration whose input scatter failed: no
-// result can ever arrive for the image, so its pending set and done channel
-// are dropped and the image is marked completed so the gc watermark can
-// advance past it — the mirror of recovery's drain, without which gcLow
-// wedges below the dead id forever and provider assembly state above it is
-// never collected again.
+// dropRegistration unwinds a registration no result will complete (a
+// failed scatter, a timed-out try, an aborted image): its pending set and
+// done channel are dropped and the image is marked completed so the gc
+// watermark can advance past it — without that, gcLow wedges below the
+// dead id forever and provider assembly state above it is never collected
+// again. Late frames for the id are discarded by the same fencing.
 func (c *Cluster) dropRegistration(img uint32) {
 	c.reg.shard(img).drop(img)
 	c.complete(img)
@@ -261,17 +299,41 @@ func (c *Cluster) complete(img uint32) {
 	}
 }
 
-// sendInput scatters one image's input rows to the volume-0 providers.
-// Per-destination sends run concurrently — the single-image oracle's
-// scatter model, and what per-pair connections really allow — while the
-// admission loop's serial sendInput calls keep successive images' scatters
-// ordered like the pipeline simulator's uplink busy floor. A failed
-// scatter is attributed to its destination provider so recovery can
-// quarantine it.
-func (c *Cluster) sendInput(img uint32) error {
+// scatter is the one (re-)admission primitive. It drops the request's
+// previous registration (old; 0 = none), then, holding sendMu — recovery
+// swaps the deployment only while holding it — snapshots the serving epoch
+// and plan together, registers a fresh image id and scatters its input
+// rows, so a registration and its scatter never span a plan swap. done is
+// nil when ep had already failed (img 0) or this scatter failed it.
+func (c *Cluster) scatter(old uint32) (ep *epoch, img uint32, done chan struct{}) {
+	if old != 0 {
+		c.dropRegistration(old)
+	}
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	ep = c.current()
+	select {
+	case <-ep.failed:
+		return ep, 0, nil
+	default:
+	}
 	c.provMu.Lock()
-	plan := c.plan // recovery swaps the plan wholesale; snapshot the pointer
+	plan := c.plan
 	c.provMu.Unlock()
+	img, done = c.register(plan)
+	if c.sendInput(ep, plan, img) != nil {
+		return ep, img, nil
+	}
+	return ep, img, done
+}
+
+// sendInput scatters one image's input rows to the plan's volume-0
+// providers. Per-destination sends run concurrently — the single-image
+// oracle's scatter model, and what per-pair connections really allow —
+// while sendMu keeps successive images' scatters ordered like the pipeline
+// simulator's uplink busy floor. A failed scatter fails ep, attributed to
+// its destination provider so recovery can quarantine it.
+func (c *Cluster) sendInput(ep *epoch, plan *Plan, img uint32) error {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	firstErr, firstDest := error(nil), -1
@@ -300,7 +362,7 @@ func (c *Cluster) sendInput(img uint32) error {
 	wg.Wait()
 	if firstErr != nil {
 		err := fmt.Errorf("runtime: scatter image %d to provider %d: %w", img, firstDest, firstErr)
-		c.failNow(firstDest, err)
+		c.failProvider(ep.n, firstDest, err)
 		return err
 	}
 	return nil
@@ -311,10 +373,7 @@ func (c *Cluster) sendToProvider(dest int, ch Chunk) error {
 	o, ok := c.links[dest]
 	if !ok {
 		c.provMu.Lock()
-		var p *Provider
-		if dest >= 0 && dest < len(c.providers) {
-			p = c.providers[dest]
-		}
+		p := c.providers[dest] // dest is a plan's provider index
 		c.provMu.Unlock()
 		if p == nil {
 			c.linkMu.Unlock()
@@ -374,15 +433,13 @@ func (c *Cluster) Run(images int) (RunStats, error) {
 // overlap different images' steps and the run measures sustained
 // throughput. Window 1 is the paper's one-image-at-a-time protocol.
 //
-// Errors anywhere in the cluster — a dead peer, a failed send, missed
-// heartbeats, an image exceeding Options.Timeout — abort the admission
-// window immediately. Without Options.Recover the failure is sticky: the
-// cluster's distributed assembly state is suspect, so the run fails and
-// further runs are refused (redeploy to retry). With Options.Recover the
-// cluster quarantines the dead provider, re-plans the strategy over the
-// survivors (warm-started from the serving strategy), redeploys them, and
-// re-scatters every incomplete image; the returned stats count the
-// recoveries and the re-planning cost.
+// It is a window-bounded loop over Submit, so it fails and recovers exactly
+// as Submit does: once the cluster fails terminally it stops admitting and
+// returns the cluster's sticky error (Err), with the stats of the images
+// that completed. With Options.Recover the stats count the recoveries the
+// run rode out, the images re-scattered after them and the recovery cost;
+// each image's latency is measured from its first admission, so the
+// recovery stall shows in PerImageMS.
 func (c *Cluster) RunPipelined(images, window int) (RunStats, error) {
 	if images < 1 {
 		return RunStats{}, fmt.Errorf("runtime: need at least one image")
@@ -390,167 +447,122 @@ func (c *Cluster) RunPipelined(images, window int) (RunStats, error) {
 	if window < 1 {
 		return RunStats{}, fmt.Errorf("runtime: window must be >= 1, got %d", window)
 	}
-	if err := c.Err(); err != nil {
+	if err := c.settle(c.current()); err != nil {
 		return RunStats{}, fmt.Errorf("runtime: cluster already failed: %w", err)
 	}
 	stats := RunStats{Images: images, Window: window, Batch: c.opts.Batch, PerImageMS: make([]float64, images)}
-	t0s := make([]time.Time, images)
-	completed := make([]bool, images)
-	remaining := make([]int, images)
-	for i := range remaining {
-		remaining[i] = i
-	}
+	c.failMu.Lock()
+	recoveries, replanMS := c.recoveries, c.replanMS
+	c.failMu.Unlock()
+	var (
+		mu     sync.Mutex  // guards stats against the slot goroutines
+		failed atomic.Bool // a Submit failed, so the cluster failed terminally
+		wg     sync.WaitGroup
+	)
+	sem := make(chan struct{}, window)
 	start := time.Now()
-	finalize := func() {
-		stats.TotalSec = time.Since(start).Seconds()
-		stats.Completed = 0
-		for _, done := range completed {
-			if done {
-				stats.Completed++
-			}
-		}
-		if stats.TotalSec > 0 {
-			stats.IPS = float64(stats.Completed) / stats.TotalSec
-		}
-		stats.Quarantined = c.Quarantined()
-	}
-	for len(remaining) > 0 {
-		err := c.runBatch(remaining, window, t0s, completed, &stats)
-		if err == nil {
+	for slot := 0; slot < images; slot++ {
+		// Backpressure: wait for a free slot in the window; stop admitting
+		// once the cluster failed terminally.
+		if sem <- struct{}{}; failed.Load() {
 			break
 		}
-		if !c.opts.Recover {
-			finalize()
-			return stats, err
-		}
-		replanMS, rerr := c.recover()
-		stats.ReplanMS += replanMS
-		if rerr != nil {
-			finalize()
-			return stats, fmt.Errorf("runtime: %v; recovery failed: %w", err, rerr)
-		}
-		var left []int
-		for _, slot := range remaining {
-			if !completed[slot] {
-				left = append(left, slot)
-				if !t0s[slot].IsZero() {
-					// Only images that were actually in flight at the
-					// failure count as requeued; the unadmitted tail is
-					// just admitted later.
-					stats.Requeued++
-				}
+		t0 := time.Now()
+		ep, img, done := c.scatter(0) // admissions scatter in slot order
+		wg.Add(1)
+		go func(slot int) {
+			defer wg.Done()
+			requeued, err := c.submit(ep, img, done)
+			if err != nil {
+				failed.Store(true)
 			}
-		}
-		remaining = left
-		stats.Recoveries++
+			mu.Lock()
+			stats.Requeued += requeued
+			if err == nil {
+				stats.PerImageMS[slot] = msSince(t0)
+				stats.Completed++
+			}
+			mu.Unlock()
+			<-sem
+		}(slot)
 	}
-	finalize()
+	wg.Wait()
+	stats.TotalSec = time.Since(start).Seconds()
+	if stats.TotalSec > 0 {
+		stats.IPS = float64(stats.Completed) / stats.TotalSec
+	}
+	c.failMu.Lock()
+	stats.Recoveries, stats.ReplanMS = c.recoveries-recoveries, c.replanMS-replanMS
+	c.failMu.Unlock()
+	stats.Quarantined = c.Quarantined()
+	if failed.Load() {
+		return stats, c.Err()
+	}
 	return stats, nil
 }
 
-// admit registers the next image and scatters its input rows, serialised
-// against every other submitter by sendMu. A failed scatter has already
-// marked the cluster failed (sendInput attributes it to its destination);
-// admit additionally drops the dead registration so the gc watermark keeps
-// advancing, and returns the error.
-func (c *Cluster) admit() (uint32, chan struct{}, error) {
-	img, done := c.register()
-	c.sendMu.Lock()
-	err := c.sendInput(img)
-	c.sendMu.Unlock()
-	if err != nil {
-		c.dropRegistration(img)
-		return 0, nil, err
-	}
-	return img, done, nil
-}
-
-// await blocks until the admitted image's full result has arrived (nil),
-// the per-image Options.Timeout fires, the cluster's current epoch records
-// a failure, or the cluster closes. On success the image is marked complete
-// and provider assembly state below the watermark is collected.
-func (c *Cluster) await(img uint32, done <-chan struct{}) error {
-	failed := c.failedCh()
-	timer := time.NewTimer(c.opts.Timeout)
-	defer timer.Stop()
-	select {
-	case <-done:
-		c.complete(img)
-		return nil
-	case <-timer.C:
-		err := fmt.Errorf("runtime: image %d timed out after %s", img, c.opts.Timeout)
-		c.failNow(-1, err)
-		return err
-	case <-failed:
-		return fmt.Errorf("runtime: image %d aborted: %w", img, c.Err())
-	case <-c.done:
-		err := fmt.Errorf("runtime: cluster closed during run")
-		c.fail(err)
-		return err
-	}
-}
+// scatterTries bounds, with Options.Recover, how many times one image is
+// scattered before its timeouts fail the cluster: a lost frame costs one
+// re-scatter, not the deployment.
+const scatterTries = 3
 
 // Submit streams one image through the deployed strategy and blocks until
-// its result assembles (or the per-image timeout / a cluster failure
-// aborts it). It is the shared-cluster admission primitive: where
-// RunPipelined owns the whole admission window for a single caller's image
-// list, Submit is safe for arbitrary concurrent callers — the serving
-// gateway (internal/gateway) multiplexes many tenants' requests over one
-// deployed fleet through it, supplying its own windowing, fairness and
-// deadlines. Submit does not drive churn recovery: a failure is sticky
-// (see Err) and surfaces from every in-flight and subsequent Submit.
+// its result assembles. It is the cluster's one admission path, safe for
+// arbitrary concurrent callers: the serving gateway (internal/gateway)
+// multiplexes tenants' requests over one deployed fleet through it with its
+// own windowing, fairness and deadlines, and RunPipelined is a windowed
+// loop over it. With Options.Recover an image aborted by a provider death
+// is re-scattered once the cluster has recovered, and a timed-out one up
+// to scatterTries times; Submit fails only once the failure is terminal.
+// Without Recover the first failure is sticky (see Err) and surfaces from
+// every in-flight and subsequent Submit.
 func (c *Cluster) Submit() error {
-	if err := c.Err(); err != nil {
-		return fmt.Errorf("runtime: cluster already failed: %w", err)
-	}
-	img, done, err := c.admit()
-	if err != nil {
-		return err
-	}
-	return c.await(img, done)
+	_, err := c.submit(c.scatter(0))
+	return err
 }
 
-// runBatch admits the given image slots through the current deployment
-// with the admission-window protocol, returning the epoch's first error
-// (nil when every slot completed). Slots that complete are marked in
-// `completed` with their latency measured from their first admission, so
-// re-admitted images show the recovery stall in PerImageMS.
-func (c *Cluster) runBatch(slots []int, window int, t0s []time.Time, completed []bool, stats *RunStats) error {
-	failed := c.failedCh()
-	sem := make(chan struct{}, window)
-	var wg sync.WaitGroup
-admit:
-	for _, slot := range slots {
-		// Backpressure: wait for a free slot in the admission window, or
-		// stop admitting the moment anything failed.
-		select {
-		case sem <- struct{}{}:
-		case <-failed:
-			break admit
-		case <-c.done:
-			c.fail(fmt.Errorf("runtime: cluster closed during run"))
-			break admit
-		}
-		if t0s[slot].IsZero() {
-			t0s[slot] = time.Now()
-		}
-		img, done, err := c.admit()
-		if err != nil {
-			<-sem
-			break admit
-		}
-		wg.Add(1)
-		go func(slot int, img uint32, done <-chan struct{}) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if c.await(img, done) == nil {
-				stats.PerImageMS[slot] = float64(time.Since(t0s[slot]).Microseconds()) / 1e3
-				completed[slot] = true
+// submit is Submit's body after the first scatter: it waits for the image
+// and re-scatters it as needed. It returns how many times the image was
+// re-scattered after a recovery (RunPipelined's Requeued), and leaves no
+// registration behind on any path (img is the live one; 0 = none).
+func (c *Cluster) submit(ep *epoch, img uint32, done chan struct{}) (requeued int, err error) {
+	var scattered bool
+	for timeouts := 0; ; ep, img, done = c.scatter(img) {
+		scattered = scattered || img != 0
+		if done != nil {
+			timer := time.NewTimer(c.opts.Timeout)
+			select {
+			case <-done:
+			case <-ep.failed:
+			case <-c.done:
+				c.failProvider(ep.n, -1, fmt.Errorf("runtime: cluster closed during run"))
+			case <-timer.C:
+				if timeouts++; c.opts.Recover && timeouts < scatterTries {
+					continue
+				}
+				c.failProvider(ep.n, -1, fmt.Errorf("runtime: image %d timed out after %s", img, c.opts.Timeout))
 			}
-		}(slot, img, done)
+			timer.Stop()
+			select {
+			case <-done: // the result won a race with the failure
+				c.complete(img)
+				return requeued, nil
+			default:
+			}
+		}
+		// ep failed: before this admission, during its scatter, or while
+		// its result was pending.
+		if err := c.settle(ep); err != nil {
+			if img == 0 {
+				return requeued, fmt.Errorf("runtime: cluster already failed: %w", err)
+			}
+			c.dropRegistration(img)
+			return requeued, fmt.Errorf("runtime: image %d aborted: %w", img, err)
+		}
+		if scattered {
+			requeued++
+		}
 	}
-	wg.Wait()
-	return c.Err()
 }
 
 // NumProviders returns the number of providers the cluster was deployed
@@ -627,10 +639,6 @@ func (c *Cluster) Close() {
 		c.provMu.Lock()
 		provs := append([]*Provider(nil), c.providers...)
 		c.provMu.Unlock()
-		for _, p := range provs {
-			if p != nil {
-				p.close()
-			}
-		}
+		closeAll(provs)
 	})
 }

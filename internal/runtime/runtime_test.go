@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"distredge/internal/cnn"
 	"distredge/internal/device"
@@ -195,14 +196,18 @@ func TestClusterRunsImages(t *testing.T) {
 	}
 }
 
+// TestClusterSlowDeviceShowsInLatency checks the sleep emulation is really
+// on the path, deterministically: every image's measured latency is at
+// least the compute floor its plan's sleeps guarantee (time.Sleep never
+// returns early, and an image's result needs one step of every generation
+// in turn), and the same strategy's floor on a slower fleet is higher.
+// Comparing two fleets' wall clocks instead was noisy by construction.
 func TestClusterSlowDeviceShowsInLatency(t *testing.T) {
-	// The same strategy on a fleet with an (emulated) slower device must be
-	// slower end-to-end — the sleep emulation is really on the path.
 	fast := testEnv(device.Xavier, device.Xavier)
 	slow := testEnv(device.Nano, device.Nano)
 	bound := []int{0, 10, 14, 18}
 
-	run := func(env *sim.Env) float64 {
+	run := func(env *sim.Env) time.Duration {
 		opts := Options{TimeScale: 0.02, BytesScale: 0.001, Batch: 1, Transport: testTransport()}
 		s := equalStrategy(env, bound)
 		cl, err := Deploy(env, s, opts)
@@ -210,14 +215,34 @@ func TestClusterSlowDeviceShowsInLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
+		// The floor: the cheapest step of each generation, slept in turn.
+		cheapest := map[int]time.Duration{}
+		for _, pp := range cl.plan.Providers {
+			for _, st := range pp.Steps {
+				d := time.Duration(st.ComputeSec * float64(time.Second))
+				if c, ok := cheapest[st.Volume]; !ok || d < c {
+					cheapest[st.Volume] = d
+				}
+			}
+		}
+		var floor time.Duration
+		for _, d := range cheapest {
+			floor += d
+		}
 		st, err := cl.Run(3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.TotalSec
+		for i, ms := range st.PerImageMS {
+			// PerImageMS truncates to whole microseconds.
+			if lat := time.Duration(ms*1e3) * time.Microsecond; lat+time.Microsecond < floor {
+				t.Errorf("image %d latency %s below its compute floor %s: sleeps left the path", i, lat, floor)
+			}
+		}
+		return floor
 	}
 	if f, s := run(fast), run(slow); s <= f {
-		t.Errorf("slow fleet (%gs) not slower than fast fleet (%gs)", s, f)
+		t.Errorf("slow fleet's compute floor (%s) not above the fast fleet's (%s)", s, f)
 	}
 }
 

@@ -46,24 +46,11 @@ func (s *regShard) chunkArrived(img uint32, key chunkKey) {
 }
 
 // drop discards an image's registration without completing it (failed
-// scatter, recovery drain): no result can ever arrive for it.
+// scatter, timed-out try, aborted image): no result will complete it.
 func (s *regShard) drop(img uint32) {
 	s.mu.Lock()
 	delete(s.pending, img)
 	delete(s.arrived, img)
-	s.mu.Unlock()
-}
-
-// drain discards every registration in the shard (recovery: the old
-// deployment's in-flight images are all dead, their ids never reused).
-func (s *regShard) drain() {
-	s.mu.Lock()
-	for img := range s.pending {
-		delete(s.pending, img)
-	}
-	for img := range s.arrived {
-		delete(s.arrived, img)
-	}
 	s.mu.Unlock()
 }
 
@@ -86,13 +73,6 @@ func newRegTable() *regTable {
 // shard returns the stripe owning img.
 func (t *regTable) shard(img uint32) *regShard {
 	return &t.shards[img&(numRegShards-1)]
-}
-
-// drainAll discards every registration (recovery).
-func (t *regTable) drainAll() {
-	for i := range t.shards {
-		t.shards[i].drain()
-	}
 }
 
 // watermark is the window-aware gc cursor, split off the registration
@@ -126,13 +106,6 @@ func (w *watermark) complete(img uint32) uint32 {
 	return low
 }
 
-// lowWatermark returns the current gc cursor.
-func (w *watermark) lowWatermark() uint32 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.low
-}
-
 // bookkeeping is a consistent-enough snapshot of the requester's
 // registration state, for tests asserting nothing leaked after a run.
 type bookkeeping struct {
@@ -159,17 +132,4 @@ func (c *Cluster) bookkeeping() bookkeeping {
 	c.wm.mu.Unlock()
 	b.nextImg = c.nextImg.Load()
 	return b
-}
-
-// drainThrough advances the cursor past every id allocated so far
-// (recovery: each is now either delivered or dead — including ids whose
-// results fully arrived but whose waiter observed the failure before
-// calling complete, which would otherwise wedge the cursor forever).
-func (w *watermark) drainThrough(next uint32) {
-	w.mu.Lock()
-	for w.low <= next {
-		delete(w.completed, w.low)
-		w.low++
-	}
-	w.mu.Unlock()
 }
